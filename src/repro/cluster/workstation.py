@@ -67,11 +67,16 @@ class Workstation:
         steal requests, owner logins) interleaves at task boundaries,
         matching the paper's poll-between-tasks discipline.
         """
+        return self.sim.timeout(self.charge_cycles(cycles))
+
+    def charge_cycles(self, cycles: float) -> float:
+        """Account *cycles* of computation as busy time and return how
+        many seconds the caller must wait for them (see :meth:`execute`)."""
         if self.crashed:
             raise ReproError(f"execute() on crashed workstation {self.name!r}")
-        seconds = self.seconds_for(cycles)
+        seconds = self.profile.seconds(cycles)
         self.cpu_busy_s += seconds
-        return self.sim.timeout(seconds)
+        return seconds
 
     # -- process registration / faults ---------------------------------------
 

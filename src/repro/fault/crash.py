@@ -99,11 +99,8 @@ def run_job_with_crashes(
         sim.process(crasher(t, idx), name=f"crash@{t}:{idx}")
 
     done = ch.done.wait()
-    deadline = timeout_s
-    while not done.processed:
-        if sim.peek() > deadline:
-            raise ReproError(f"job did not survive the crashes within {timeout_s}s")
-        sim.step()
+    if not sim.run_until(lambda: done.processed, timeout_s):
+        raise ReproError(f"job did not survive the crashes within {timeout_s}s")
     sim.run(until=sim.now + 2.0)
 
     stats = JobStats(

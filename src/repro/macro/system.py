@@ -200,13 +200,11 @@ class PhishSystem:
         if not self.handles:
             raise JobError("no jobs submitted")
         all_done = AllOf(self.sim, [h.done.wait() for h in self.handles])
-        deadline = self.sim.now + timeout_s
-        while not all_done.triggered:
-            if self.sim.peek() > deadline:
-                raise JobError(
-                    f"jobs did not finish within {timeout_s} simulated seconds"
-                )
-            self.sim.step()
+        if not self.sim.run_until(lambda: all_done.triggered,
+                                  self.sim.now + timeout_s):
+            raise JobError(
+                f"jobs did not finish within {timeout_s} simulated seconds"
+            )
         self.sim.run(until=self.sim.now + drain_s)
 
     def run(self, until: float) -> None:

@@ -603,6 +603,8 @@ class Worker:
         is done.
         """
         cfg = self.config
+        sim = self.sim
+        prof = self._prof
         while not self.done:
                 if self.paused:
                     # Checkpoint in progress: hold still between tasks.
@@ -611,7 +613,22 @@ class Worker:
                 closure = self.deque.pop_exec()
                 if closure is not None:
                     self._failed_steals = 0
-                    yield from self._execute(closure)
+                    seconds = self._execute(closure)
+                    # Charge the task's simulated cycles; waiting here is
+                    # also the poll point where concurrent steal requests
+                    # and arriving arguments interleave.  When the
+                    # completion is provably the next event, nothing can
+                    # interleave and the kernel moves the clock in place.
+                    try:
+                        if not sim.try_advance(seconds):
+                            yield sim.timeout(seconds)
+                    finally:
+                        if prof is not None:
+                            # Also reached by a crash Interrupt landing in
+                            # the yield: the working interval and its B/E
+                            # pair must close before _finish ends the
+                            # participation span.
+                            prof.exec_done(sim.now, self.name, closure.cid)
                     if cfg.mode == "push":
                         self._maybe_push()
                     elif (cfg.proactive_threshold > 0
@@ -744,7 +761,9 @@ class Worker:
             return
         self._enqueue_root()
 
-    def _execute(self, closure: Closure) -> Generator:
+    def _execute(self, closure: Closure) -> float:
+        """Run *closure*'s thread function and account its cycles on the
+        workstation; returns the seconds the caller must wait for them."""
         self.executing = True
         self._note_in_use()
         if self.trace is not None:
@@ -776,22 +795,12 @@ class Worker:
         if self.config.track_completed and closure.join_counter == 0:
             self.completed.add(closure.cid)
         self.executing = False
-        # Charge the task's simulated cycles (dispatch + work + spawns +
-        # sends); yielding here is also the poll point where concurrent
-        # steal requests and arriving arguments interleave.
-        if prof is None:
-            yield self.workstation.execute(frame.cycles)
-            return
-        self._exec_cid = None
-        prof.exec_end(self.sim.now, self.name, closure.cid,
-                      self.workstation.seconds_for(frame.cycles))
-        try:
-            yield self.workstation.execute(frame.cycles)
-        finally:
-            # Also reached by a crash Interrupt landing in the yield:
-            # the working interval and its B/E pair must close before
-            # _finish ends the participation span.
-            prof.exec_done(self.sim.now, self.name, closure.cid)
+        # The task's simulated cycles: dispatch + work + spawns + sends.
+        seconds = self.workstation.charge_cycles(frame.cycles)
+        if prof is not None:
+            self._exec_cid = None
+            prof.exec_end(self.sim.now, self.name, closure.cid, seconds)
+        return seconds
 
     # ------------------------------------------------------------------
     # Stealing (thief side)

@@ -277,9 +277,9 @@ class SpanProfiler:
 
     def attach_sim(self, sim: Any) -> None:
         """Chain onto the simulator's monitor hook to sample kernel
-        pressure (exact ``events_processed`` at each sample).  Note the
-        monitor forces the kernel's exact stepping path — acceptable,
-        since profiling is opt-in."""
+        pressure (exact ``events_processed`` at each sample).  The
+        kernel's batched drain calls the monitor at exactly the event
+        counts stepping would, so profiling keeps the fast path."""
         self._sim = sim
         prev = sim.monitor
 

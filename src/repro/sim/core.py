@@ -67,9 +67,18 @@ Other hot-path machinery:
   :meth:`Event.subscribe` ride pooled slotted one-shot events
   (:class:`_SoonEvent`) — no per-call lambda, list, or garbage event.
 * ``run()`` — in all of its forms (to exhaustion, to a horizon, to an
-  awaited event) — uses a batched drain loop that writes the clock and
-  the processed-events counter back only when user code can observe
-  them, instead of dispatching ``peek()``/``step()`` per event.
+  awaited event) — and :meth:`Simulator.run_until` use a batched drain
+  loop that writes the clock and the processed-events counter back only
+  when user code can observe them, instead of dispatching
+  ``peek()``/``step()`` per event.  The drain calls the monitor hook at
+  exactly the event counts ``step()`` would.
+* Run-ahead (calendar backend only): inside the drain, a process about
+  to wait on ``timeout(delay)`` may call :meth:`Simulator.try_advance`
+  instead.  When ``now + delay`` is strictly earlier than every queued
+  event and within the drain's limit, that timeout would provably be the
+  very next event processed, so the clock moves in place and the
+  process continues without a kernel event (docs/performance.md,
+  "Run-ahead").
 """
 
 from __future__ import annotations
@@ -100,6 +109,10 @@ _MODE_DRAIN = 1  # sorted descending; pop from the end
 _MODE_HEAP = 2   # classic heapq
 
 _INF = float("inf")
+_NEG_INF = -_INF
+
+#: ``_mon_next`` while no monitor is installed: a count never reached.
+_NO_MONITOR = sys.maxsize
 
 #: Recognised queue-backend names for ``Simulator(queue=...)``.
 QUEUE_BACKENDS = ("auto", "heap", "calendar")
@@ -305,6 +318,20 @@ class _Flag:
         self.fired = True
 
 
+class _Until:
+    """Drain stop for :meth:`Simulator.run_until`: fires once the
+    caller's predicate holds."""
+
+    __slots__ = ("done",)
+
+    def __init__(self, done: Callable[[], bool]) -> None:
+        self.done = done
+
+    @property
+    def fired(self) -> bool:
+        return self.done()
+
+
 class Process(Event):
     """A running simulation process wrapping a generator.
 
@@ -460,8 +487,18 @@ class Simulator:
         #: invariant checker for online (mid-run) assertions.
         self.monitor: Optional[Callable[["Simulator"], None]] = None
         self.monitor_interval: int = 4096
+        #: ``events_processed`` value at which the drain next calls the
+        #: monitor (set when a drain starts).
+        self._mon_next = _NO_MONITOR
         #: Free list of :class:`_SoonEvent` carriers (see call_soon).
         self._soon_pool: List[_SoonEvent] = []
+        self._run_aheads = 0
+
+    @property
+    def run_aheads(self) -> int:
+        """Timeouts charged by :meth:`try_advance` moving the clock in
+        place (each is also counted in :attr:`events_processed`)."""
+        return self._run_aheads
 
     # -- construction helpers ---------------------------------------------
 
@@ -527,6 +564,31 @@ class Simulator:
         ev.arg = arg
         self._enqueue(ev, 0.0, URGENT)
 
+    def try_advance(self, delay: float) -> bool:
+        """Charge a wait of *delay* seconds without a kernel event, if exact.
+
+        A process about to ``yield self.timeout(delay)`` may call this
+        first; on True the clock already reads ``now + delay`` and the
+        process simply continues, on False it yields the timeout as
+        before.  The answer is True only where that timeout would
+        provably be the next event processed: inside a ``run()``/
+        :meth:`run_until` drain, from the only (or last) callback of the
+        event being processed, with ``now + delay`` within the drain's
+        limit and strictly earlier than every queued event, no drain
+        stop condition holding, and no monitor call due at or after the
+        skipped event.  The skipped event is counted in
+        :attr:`events_processed` and, under ``tiebreak_rng``, uses up the
+        sequence number and shuffle draw the timeout would have taken, so
+        every later event keeps its exact place in the total order.
+
+        The reference ("heap") backend never runs ahead; it stays the
+        plain-stepping oracle that ``repro check --verify-queue``
+        compares the calendar backend against.
+        """
+        if delay < 0:
+            raise SimulationError(f"negative timeout delay {delay!r}")
+        return False
+
     # -- scheduling & execution -------------------------------------------
 
     def _enqueue(self, event: Event, delay: float, priority: int) -> None:
@@ -564,10 +626,6 @@ class Simulator:
         event of any kind has been enqueued since the token was taken.
         """
         return self.tiebreak_rng is None and self._seq == token
-
-    def _has_work(self) -> bool:
-        """True while at least one scheduled event remains."""
-        return bool(self._heap)
 
     def _queue_len(self) -> int:
         return len(self._heap)
@@ -626,63 +684,78 @@ class Simulator:
                 been processed and returns its value (re-raising its
                 failure, if any).
 
-        All three forms take a batched drain loop when no monitor hook
-        is installed: identical event order and semantics to ``step()``
-        in a loop, with the per-event clock/counter writes deferred to
-        the points where user code can observe them.  A monitor needs an
-        exact per-event counter, so its presence selects the plain
-        stepping path.
+        All three forms take the batched drain loop: identical event
+        order, semantics and monitor calls to ``step()`` in a loop, with
+        the per-event clock/counter writes deferred to the points where
+        user code can observe them.
         """
-        if until is not None:
-            if isinstance(until, Event):
-                target = until
-                if not target.processed:
-                    flag = _Flag()
-                    target.subscribe(flag)
-                    if self.monitor is not None:
-                        while not flag.fired:
-                            if not self._has_work():
-                                raise SimulationError(_DEADLOCK_MSG)
-                            self.step()
-                    else:
-                        self._drain(_INF, flag)
-                        if not flag.fired:
-                            raise SimulationError(_DEADLOCK_MSG)
-                if target._ok is False:
-                    target.defused = True
-                    raise target._value
-                return target._value
-            horizon = float(until)
-            if horizon < self.now:
-                raise SimulationError(f"run(until={horizon}) is in the past (now={self.now})")
-            if self.monitor is not None:
-                while self._has_work() and self.peek() <= horizon:
-                    self.step()
-            else:
-                self._drain(horizon, None)
-            self.now = horizon
+        if until is None:
+            self._drain(_INF, None)
             return None
-        if self.monitor is not None:
-            # The monitor hook needs an exact per-event counter; take the
-            # plain stepping path.
-            while self._has_work():
-                self.step()
-            return None
-        self._drain(_INF, None)
+        if isinstance(until, Event):
+            target = until
+            if not target.processed:
+                flag = _Flag()
+                target.subscribe(flag)
+                self._drain(_INF, flag)
+                if not flag.fired:
+                    raise SimulationError(_DEADLOCK_MSG)
+            if target._ok is False:
+                target.defused = True
+                raise target._value
+            return target._value
+        horizon = float(until)
+        if horizon < self.now:
+            raise SimulationError(f"run(until={horizon}) is in the past (now={self.now})")
+        self._drain(horizon, None)
+        self.now = horizon
         return None
 
-    def _drain(self, limit: float, stop: Optional[_Flag]) -> None:
+    def run_until(self, done: Callable[[], bool], horizon: float = _INF) -> bool:
+        """Process events until ``done()`` holds or none remain at or
+        before *horizon*; returns ``done()``.
+
+        ``done`` is checked before the first event and after every event
+        whose callbacks ran (the only code that can change it), exactly
+        like ``while not done() and peek() <= horizon: step()``.  Unlike
+        ``run(until=horizon)`` the clock stays at the last processed
+        event.
+        """
+        if not done():
+            self._drain(float(horizon), _Until(done))
+        return done()
+
+    def _arm_monitor(self) -> int:
+        """Set :attr:`_mon_next` for a drain that is starting; returns
+        the number of events until the monitor is due."""
+        if self.monitor is None:
+            self._mon_next = _NO_MONITOR
+        else:
+            interval = self.monitor_interval
+            self._mon_next = (self.events_processed // interval + 1) * interval
+        return self._mon_next - self.events_processed
+
+    def _fire_monitor(self) -> int:
+        """Call the monitor (the counter is on a multiple of the
+        interval); returns the number of events until the next call."""
+        self._mon_next += self.monitor_interval
+        self.monitor(self)
+        return self.monitor_interval
+
+    def _drain(self, limit: float, stop: Any) -> None:
         """Batched event loop: process events with time <= *limit* until
-        the queue empties or *stop* fires (checked after callbacks, the
-        only place it can flip).  Identical event order and semantics to
-        ``step()`` in a loop: the clock and the processed-events counter
-        are written back only when user code can observe them (callbacks,
-        exceptions, exit), and the pop mode is kept in a local that is
-        refreshed whenever callbacks ran (only user code can flip it).
+        the queue empties or *stop* fires (``stop.fired`` is checked after
+        callbacks, the only place it can flip).  Identical event order,
+        semantics and monitor calls to ``step()`` in a loop: the clock and
+        the processed-events counter are written back only when user code
+        can observe them (callbacks, the monitor, exceptions, exit), and
+        the pop mode is kept in a local that is refreshed whenever
+        callbacks ran (only user code can flip it).
         """
         heap = self._heap
         mode = self._mode
         now = self.now
+        mon_left = self._arm_monitor()
         n = 0
         try:
             while heap:
@@ -711,11 +784,20 @@ class Simulator:
                         callback(event)
                     if event._ok is False and not event.defused:
                         raise event._value
+                    mon_left = self._mon_next - self.events_processed
+                    if not mon_left:
+                        mon_left = self._fire_monitor()
                     if stop is not None and stop.fired:
                         return
                     mode = self._mode
                 elif event._ok is False and not event.defused:
                     raise event._value
+                elif n == mon_left:
+                    self.now = now
+                    self.events_processed += n
+                    n = 0
+                    mon_left = self._fire_monitor()
+                    mode = self._mode
         finally:
             self.now = now
             self.events_processed += n
@@ -745,7 +827,9 @@ class CalendarSimulator(Simulator):
     A drained bucket is deleted only once exhausted, so same-time
     arrivals during its callbacks always join the live bucket; the
     one-bucket-at-a-time invariant (``_cur``) holds because the clock
-    never moves backwards.
+    never moves backwards.  Only ``step()`` and the drain delete
+    buckets: ``peek()`` is a pure query, safe to call from a callback in
+    the middle of a drain.
     """
 
     def __init__(self, tiebreak_rng: Optional[Any] = None, queue: str = "calendar") -> None:
@@ -758,6 +842,11 @@ class CalendarSimulator(Simulator):
         self._cur_time = 0.0
         #: Free list of recycled Timeout objects (see module docstring).
         self._timeout_pool: List[Timeout] = []
+        #: Run-ahead window (see try_advance): the running drain's limit
+        #: while a callback that may run ahead executes, else -inf; and
+        #: the drain's stop condition.
+        self._ra_limit = _NEG_INF
+        self._ra_stop: Any = None
 
     # -- scheduling --------------------------------------------------------
 
@@ -872,21 +961,11 @@ class CalendarSimulator(Simulator):
 
     # -- queue state -------------------------------------------------------
 
-    def _bucket_live(self, b: list) -> bool:
-        """True if the bucket still has undrained events; a dead current
-        bucket is retired (deleted) on the spot."""
+    @staticmethod
+    def _bucket_live(b: list) -> bool:
+        """True if the list-shaped bucket still has undrained events."""
         u = b[0]
-        if (u is not None and b[2] < len(u)) or b[3] < len(b[1]):
-            return True
-        del self._buckets[self._cur_time]
-        self._cur = None
-        return False
-
-    def _has_work(self) -> bool:
-        b = self._cur
-        if b is not None and self._bucket_live(b):
-            return True
-        return bool(self._times)
+        return (u is not None and b[2] < len(u)) or b[3] < len(b[1])
 
     def _queue_len(self) -> int:
         n = 0
@@ -907,12 +986,39 @@ class CalendarSimulator(Simulator):
         times = self._times
         return times[0] if times else _INF
 
+    def try_advance(self, delay: float) -> bool:
+        """See :meth:`Simulator.try_advance`; the calendar backend runs
+        ahead."""
+        if delay < 0:
+            raise SimulationError(f"negative timeout delay {delay!r}")
+        t = self.now + delay
+        if t > self._ra_limit or self.events_processed + 1 >= self._mon_next:
+            return False
+        b = self._cur
+        if b is not None and self._bucket_live(b):
+            return False
+        times = self._times
+        if times and times[0] <= t:
+            return False
+        stop = self._ra_stop
+        if stop is not None and stop.fired:
+            return False
+        rng = self.tiebreak_rng
+        if rng is not None:
+            self._seq += 1
+            rng.random()
+        self.now = t
+        self.events_processed += 1
+        self._run_aheads += 1
+        return True
+
     # -- execution ---------------------------------------------------------
 
     def step(self) -> None:
         b = self._cur
         if b is not None and not self._bucket_live(b):
-            b = None
+            del self._buckets[self._cur_time]
+            self._cur = b = None
         if b is None:
             times = self._times
             if not times:
@@ -960,19 +1066,36 @@ class CalendarSimulator(Simulator):
         if self.monitor is not None and self.events_processed % self.monitor_interval == 0:
             self.monitor(self)
 
-    def _drain(self, limit: float, stop: Optional[_Flag]) -> None:
-        """Batched drain (see :meth:`Simulator._drain` for the contract).
+    def _run_callbacks(self, cbs: Any, ev: Event, limit: float) -> None:
+        """Run the callbacks of an event that has several.  Only the last
+        may run ahead: an earlier one moving the clock would make the
+        rest run at the wrong time."""
+        self._ra_limit = _NEG_INF
+        try:
+            for cb in cbs[:-1]:
+                cb(ev)
+        finally:
+            self._ra_limit = limit
+        cbs[-1](ev)
+
+    def _drain(self, limit: float, stop: Any) -> None:
+        """Batched drain (see :meth:`Simulator._drain` for the contract),
+        with run-ahead enabled for the callbacks it runs.
 
         Bucket lengths and cursors live in locals on the no-callback
         fast path; they are written back before callbacks run (the only
-        code that can observe or change them) and refreshed after.
+        code that can observe or change them) and refreshed after, as is
+        the clock, which :meth:`try_advance` may have moved.
         """
         buckets = self._buckets
         times = self._times
         pool = self._timeout_pool
         rng_mode = self.tiebreak_rng is not None
         now = self.now
+        mon_left = self._arm_monitor()
         n = 0
+        self._ra_limit = limit
+        self._ra_stop = stop
         try:
             while True:
                 b = self._cur
@@ -997,22 +1120,34 @@ class CalendarSimulator(Simulator):
                             self.now = now
                             self.events_processed += n
                             n = 0
-                            for cb in cbs:
-                                cb(b)
+                            if len(cbs) == 1:
+                                cbs[0](b)
+                            else:
+                                self._run_callbacks(cbs, b, limit)
+                            now = self.now
                             if b._ok is False and not b.defused:
                                 raise b._value
                             if (type(b) is Timeout and _refcount(b) == 2
                                     and len(pool) < _TIMEOUT_POOL_MAX):
                                 pool.append(b)
+                            mon_left = self._mon_next - self.events_processed
+                            if not mon_left:
+                                mon_left = self._fire_monitor()
                             if stop is not None and stop.fired:
                                 return
                         elif b._ok is False and not b.defused:
                             raise b._value
+                        elif n == mon_left:
+                            self.now = now
+                            self.events_processed += n
+                            n = 0
+                            mon_left = self._fire_monitor()
                         continue
                     self._cur = b
                     self._cur_time = t
-                else:
-                    now = self._cur_time
+                # else: resuming a bucket a stopped drain left; the
+                # clock already reads its time, or a later one if the
+                # bucket was exhausted and a callback then ran ahead.
                 urgent = b[0]
                 normal = b[1]
                 ui = b[2]
@@ -1043,8 +1178,11 @@ class CalendarSimulator(Simulator):
                         self.now = now
                         self.events_processed += n
                         n = 0
-                        for cb in cbs:
-                            cb(ev)
+                        if len(cbs) == 1:
+                            cbs[0](ev)
+                        else:
+                            self._run_callbacks(cbs, ev, limit)
+                        now = self.now
                         if ev._ok is False and not ev.defused:
                             raise ev._value
                         if (type(ev) is Timeout and _refcount(ev) == 3
@@ -1053,17 +1191,31 @@ class CalendarSimulator(Simulator):
                             # remaining references: nobody can observe
                             # this timeout again, so recycle it.
                             pool.append(ev)
+                        mon_left = self._mon_next - self.events_processed
+                        if not mon_left:
+                            mon_left = self._fire_monitor()
                         if stop is not None and stop.fired:
                             return
-                        urgent = b[0]
-                        ui = b[2]
-                        ni = b[3]
-                        u_len = 0 if urgent is None else len(urgent)
-                        n_len = len(normal)
                     elif ev._ok is False and not ev.defused:
                         b[2] = ui
                         b[3] = ni
                         raise ev._value
+                    elif n == mon_left:
+                        b[2] = ui
+                        b[3] = ni
+                        self.now = now
+                        self.events_processed += n
+                        n = 0
+                        mon_left = self._fire_monitor()
+                    else:
+                        continue
+                    # Callbacks or the monitor ran: same-time arrivals
+                    # may have grown the bucket.
+                    urgent = b[0]
+                    ui = b[2]
+                    ni = b[3]
+                    u_len = 0 if urgent is None else len(urgent)
+                    n_len = len(normal)
                 b[2] = ui
                 b[3] = ni
                 del buckets[self._cur_time]
@@ -1071,3 +1223,5 @@ class CalendarSimulator(Simulator):
         finally:
             self.now = now
             self.events_processed += n
+            self._ra_limit = _NEG_INF
+            self._ra_stop = None

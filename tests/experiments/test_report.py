@@ -81,11 +81,13 @@ def test_format_bench_full_dict_lists_all_sections():
         "recorded_at": "2026-01-01T00:00:00",
         "kernel": {"events_per_s": 1e6, "repeats": 10},
         "process_switch": {"roundtrips_per_s": 2e5, "repeats": 5},
-        "fib": {"tasks_per_s": 1e5, "tasks": 4789, "workers": 4},
+        "fib": {"tasks_per_s": 1e5, "tasks": 4789, "workers": 4,
+                "run_aheads": 3461},
         "knary": {"tasks_per_s": 9e4, "tasks": 1718, "workers": 4},
     }
     out = format_bench(results)
     assert "kernel events/s" in out
     assert "process roundtrips/s" in out
     assert "fib tasks/s" in out and "knary tasks/s" in out
+    assert "3461 run-ahead charges" in out
     assert "2026-01-01T00:00:00" in out

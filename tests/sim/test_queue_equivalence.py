@@ -218,6 +218,31 @@ def test_urgent_keeps_insertion_order_under_rng():
         assert order == list(range(10)), queue
 
 
+@pytest.mark.parametrize("queue", ["heap", "calendar"])
+@pytest.mark.parametrize("peeker", range(3))
+def test_peek_from_a_callback_has_no_side_effects(queue, peeker):
+    """``peek()`` called by a process mid-``run()`` must leave the drain
+    undisturbed.  The calendar backend used to retire the live bucket
+    from inside the query, and the drain then crashed deleting it a
+    second time."""
+    sim = Simulator(queue=queue)
+    seen = []
+
+    def proc(i):
+        yield sim.timeout(1.0)
+        if i == peeker:
+            seen.append(sim.peek())
+        seen.append((i, sim.now))
+
+    for i in range(3):
+        sim.process(proc(i))
+    sim.run()
+    later = peeker < 2
+    assert seen.pop(peeker) == (1.0 if later else float("inf"))
+    assert seen == [(0, 1.0), (1, 1.0), (2, 1.0)]
+    assert sim.peek() == float("inf")
+
+
 def test_calendar_is_the_auto_default():
     assert Simulator().queue_backend == "calendar"
     assert Simulator(queue="auto").queue_backend == "calendar"
