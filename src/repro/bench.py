@@ -6,9 +6,6 @@ large a reproduction run can get — and records the numbers in
 
 * ``kernel``: raw timeout throughput of the DES kernel (the same 10k-event
   workload as ``benchmarks/test_kernel_throughput.py``).
-* ``timeouts``: interleaved timeout churn — many generator processes
-  sleeping on a small quantized delay set, the steal-backoff regime
-  (``repro bench --profile timeouts``).
 * ``process_switch``: generator-process ping-pong through a Store.
 * ``fib`` / ``knary``: end-to-end macro-benchmarks — a full simulated
   cluster (workers, Clearinghouse, network) executing the paper's
@@ -86,48 +83,6 @@ def bench_kernel(n_events: int = 10_000, repeats: int = 10) -> Dict[str, Any]:
         "repeats": repeats,
         "best_s": best_s,
         "events_per_s": n_events / best_s,
-    }
-
-
-def bench_timeouts(n_events: int = 10_000, repeats: int = 10) -> Dict[str, Any]:
-    """Pure-timeout churn matching the steal-backoff regime.
-
-    Unlike :func:`bench_kernel` (schedule everything, then drain), this
-    keeps ~50 generator processes alive, each repeatedly sleeping on a
-    delay drawn from a small quantized set — the shape the micro
-    scheduler's steal backoff, heartbeat, and retry timers produce.
-    Pushes and pops interleave throughout, so the queue never leaves its
-    steady state, and the calendar backend's timeout free list is
-    exercised on every iteration.
-    """
-    from repro.sim.core import Simulator
-
-    #: A handful of recurring deltas, like steal_backoff_s and friends.
-    delays = (0.0005, 0.001, 0.002, 0.004, 0.008)
-    n_procs = 50
-    rounds = max(1, n_events // n_procs)
-
-    def run() -> int:
-        sim = Simulator()
-
-        def churn(sim, i):
-            d = delays[i % len(delays)]
-            for _ in range(rounds):
-                yield sim.timeout(d)
-
-        for i in range(n_procs):
-            sim.process(churn(sim, i))
-        sim.run()
-        return sim.events_processed
-
-    best_s, processed = _best_of(run, repeats)
-    return {
-        "n_events": processed,
-        "n_procs": n_procs,
-        "rounds": rounds,
-        "repeats": repeats,
-        "best_s": best_s,
-        "events_per_s": processed / best_s,
     }
 
 
@@ -213,20 +168,8 @@ def bench_knary(n: int = 5, k: int = 5, r: int = 2, workers: int = 4,
     }
 
 
-#: ``run_bench`` profiles: which benchmark sections a run measures.
-PROFILES = ("full", "timeouts")
-
-
-def run_bench(repeats: int = 10, quick: bool = False,
-              profile: str = "full") -> Dict[str, Any]:
-    """Run a benchmark profile and return the results dict (not yet written).
-
-    ``profile="full"`` measures everything; ``profile="timeouts"`` only
-    the timeout-churn microbench (a partial record — :func:`write_bench`
-    merges it over the existing file without clobbering other sections).
-    """
-    if profile not in PROFILES:
-        raise ValueError(f"unknown bench profile {profile!r}; known: {PROFILES}")
+def run_bench(repeats: int = 10, quick: bool = False) -> Dict[str, Any]:
+    """Run every benchmark and return the results dict (not yet written)."""
     macro_repeats = 1 if quick else 3
     kernel_repeats = max(3, repeats // 3) if quick else repeats
     results: Dict[str, Any] = {
@@ -235,11 +178,7 @@ def run_bench(repeats: int = 10, quick: bool = False,
         "python": platform.python_version(),
         "platform": platform.platform(),
     }
-    if profile == "timeouts":
-        results["timeouts"] = bench_timeouts(repeats=kernel_repeats)
-        return results
     results["kernel"] = bench_kernel(repeats=kernel_repeats)
-    results["timeouts"] = bench_timeouts(repeats=kernel_repeats)
     results["process_switch"] = bench_process_switch(repeats=max(2, kernel_repeats // 2))
     results["fib"] = bench_fib(repeats=macro_repeats)
     results["knary"] = bench_knary(repeats=macro_repeats)
@@ -259,11 +198,6 @@ def format_bench(results: Dict[str, Any]) -> str:
     if kernel:
         rows.append(("kernel events/s", f"{kernel.get('events_per_s', 0):,.0f}",
                      f"best of {kernel.get('repeats', '?')}"))
-    touts = results.get("timeouts") or {}
-    if touts:
-        rows.append(("timeout churn events/s", f"{touts.get('events_per_s', 0):,.0f}",
-                     f"{touts.get('n_procs', '?')} procs, "
-                     f"best of {touts.get('repeats', '?')}"))
     switch = results.get("process_switch") or {}
     if switch:
         rows.append(("process roundtrips/s", f"{switch.get('roundtrips_per_s', 0):,.0f}",
@@ -287,19 +221,21 @@ def format_bench(results: Dict[str, Any]) -> str:
 
 
 #: Historical baseline blocks that must survive every re-record: the
-#: seed kernel (``pre_overhaul``, recorded before PR 2's queue overhaul)
-#: and the three-mode heap kernel (``pre_calendar``, recorded before the
-#: calendar-queue backend became the default).  They are the trajectory
-#: the README's perf table tells; a re-record may never lose them.
-HISTORY_KEYS = ("pre_overhaul", "pre_calendar")
+#: seed kernel (``pre_overhaul``, recorded before the event-queue
+#: overhaul), the three-mode heap kernel (``pre_calendar``, recorded
+#: before a calendar-queue backend became the default) and that
+#: calendar backend's own microbench records (``pre_single_queue``,
+#: kept when the heap became the only event queue again).  They are the
+#: trajectory the README's perf table tells; a re-record may never lose
+#: them.
+HISTORY_KEYS = ("pre_overhaul", "pre_calendar", "pre_single_queue")
 
 
 def write_bench(results: Dict[str, Any], out_path: str = DEFAULT_OUT) -> None:
     """Write *results* as pretty-printed JSON, preserving history.
 
     The recorded file may carry keys this run does not produce — e.g.
-    a full record over a ``--profile timeouts`` partial, or vice versa.
-    Any such key in the existing file is merged back in rather than
+    a section an older version of the benchmark measured.  Any such key in the existing file is merged back in rather than
     clobbered; keys the new results do produce win — except the
     :data:`HISTORY_KEYS` baseline blocks, where the *recorded* value
     always wins (history is written once, by hand, and a later

@@ -9,8 +9,6 @@ Public surface:
 * :func:`fuzz` — sweep many seeds of a registered app, shrinking failures.
 * :func:`fuzz_sharded` — the same sweep fanned out over a process pool
   (``--jobs``), merged byte-identically to the serial run.
-* :func:`verify_queue_backends` — prove the heap and calendar event-queue
-  backends produce byte-identical traces on full checked runs.
 * :class:`Perturbation` — one seed-derived point in schedule space.
 
 See ``docs/checking.md`` for the invariant catalog and workflow.
@@ -19,14 +17,12 @@ See ``docs/checking.md`` for the invariant catalog and workflow.
 from repro.check.fuzzer import (
     APPS,
     AppSpec,
-    BackendVerifyResult,
     FuzzFailure,
     FuzzResult,
     FuzzShardSpec,
     ShardedFuzz,
     fuzz,
     fuzz_sharded,
-    verify_queue_backends,
 )
 from repro.check.harness import (
     BUGS,
@@ -52,7 +48,6 @@ __all__ = [
     "APPS",
     "AppSpec",
     "BUGS",
-    "BackendVerifyResult",
     "CHECK_CH",
     "CHECK_WORKER",
     "CheckedRun",
@@ -71,5 +66,4 @@ __all__ = [
     "install_network_accounting",
     "run_checked",
     "shrink_perturbation",
-    "verify_queue_backends",
 ]

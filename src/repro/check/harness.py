@@ -337,7 +337,6 @@ def run_checked(
     trace_capacity: Optional[int] = None,
     bug: Optional[str] = None,
     metrics: Optional[Any] = None,
-    queue: str = "auto",
 ) -> CheckedRun:
     """Run *job* under full invariant checking.
 
@@ -361,10 +360,6 @@ def run_checked(
             when given it is threaded into the network, Clearinghouse,
             and every Worker (this is how ``repro diagnose`` attaches a
             :class:`~repro.obs.health.HealthMonitor` to checked runs).
-        queue: event-queue backend for the run's :class:`Simulator`
-            (``"auto"``/``"heap"``/``"calendar"``) — the backend must be
-            unobservable, so checked runs can pin either side of the
-            byte-identical-trace contract (``repro check --queue``).
     """
     pert = perturbation if perturbation is not None else Perturbation()
     for _t, idx in pert.crashes:
@@ -388,7 +383,7 @@ def run_checked(
     tiebreak = (
         random.Random(pert.tiebreak_seed) if pert.tiebreak_seed is not None else None
     )
-    sim = Simulator(tiebreak_rng=tiebreak, queue=queue)
+    sim = Simulator(tiebreak_rng=tiebreak)
     reg = RngRegistry(seed)
     trace = TraceLog(enabled=True, capacity=trace_capacity)
     net_params = dataclasses.replace(

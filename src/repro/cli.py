@@ -252,27 +252,6 @@ def _cmd_check(args: argparse.Namespace) -> str:
         sys.stderr.write("." if ok else "F")
         sys.stderr.flush()
 
-    if args.verify_queue:
-        from repro.check import verify_queue_backends
-
-        started = time.time()
-        result = verify_queue_backends(
-            app=args.app,
-            n_seeds=args.seeds,
-            start_seed=args.seed,
-            n_workers=args.workers,
-            scenario=args.scenario,
-            progress=progress,
-        )
-        sys.stderr.write(
-            f"\n{len(result.seeds)} seeds x 2 backends in "
-            f"{time.time() - started:.1f}s\n"
-        )
-        if not result.ok:
-            print(result.summary())
-            raise SystemExit(1)
-        return result.summary()
-
     started = time.time()
     outcome = fuzz_sharded(
         app=args.app,
@@ -283,7 +262,6 @@ def _cmd_check(args: argparse.Namespace) -> str:
         jobs=args.jobs,
         progress=progress,
         scenario=args.scenario,
-        queue=args.queue,
     )
     elapsed = time.time() - started
     result, stats = outcome.result, outcome.stats
@@ -383,8 +361,7 @@ def _cmd_bench(args: argparse.Namespace) -> str:
     from repro.bench import format_bench, run_bench, write_bench
 
     started = time.time()
-    results = run_bench(repeats=args.repeats, quick=args.quick,
-                        profile=args.profile)
+    results = run_bench(repeats=args.repeats, quick=args.quick)
     write_bench(results, args.out)
     return (
         format_bench(results)
@@ -789,11 +766,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                             "best-of-N (default 10)")
     bench.add_argument("--quick", action="store_true",
                        help="fewer repetitions (smoke-test mode)")
-    bench.add_argument("--profile", default="full",
-                       choices=["full", "timeouts"],
-                       help="benchmark sections to run: 'timeouts' measures "
-                            "only the timeout-churn microbench and merges it "
-                            "into the existing record (default full)")
     bench.add_argument("--manifest", default=None, metavar="PATH",
                        help="also write a run-provenance manifest JSON")
     lat = sub.add_parser(
@@ -856,14 +828,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                           "'spike' force that network dynamic into every "
                           "seed; 'faults-only' disables both (default "
                           "mixed: probabilistic)")
-    chk.add_argument("--queue", default="auto",
-                     choices=["auto", "heap", "calendar"],
-                     help="event-queue backend for every run's Simulator "
-                          "(default auto; see docs/performance.md)")
-    chk.add_argument("--verify-queue", action="store_true",
-                     help="instead of fuzzing, run every seed once per "
-                          "queue backend (heap and calendar) and require "
-                          "byte-identical traces")
     chk.add_argument("--inject-bug", default=None,
                      choices=["skip-redo", "drop-migration", "dup-exec"],
                      help="deliberately break the scheduler to prove the "

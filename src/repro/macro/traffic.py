@@ -624,11 +624,7 @@ class TrafficSystem:
     def run(self) -> TrafficReport:
         """Run to completion (or the horizon) and report."""
         cfg = self.config
-        while self.completed < cfg.n_jobs:
-            upcoming = self.sim.peek()
-            if upcoming == float("inf") or upcoming > cfg.horizon_s:
-                break
-            self.sim.step()
+        self.sim.run_until(lambda: self.completed >= cfg.n_jobs, cfg.horizon_s)
         return self.report()
 
     def stop(self) -> None:

@@ -334,7 +334,7 @@ class Network:
         last = self._last_delivery
         if (last is not None and last.callbacks is self._deliver_cbs
                 and last.t == t and last.msg.dst == dst
-                and sim._at_tail(last, self._last_token)):
+                and sim._at_tail(self._last_token)):
             # Same delivery tick, same destination, and the previous
             # delivery event is still the tail of its same-time queue
             # position: a separate event would drain immediately after
@@ -364,7 +364,7 @@ class Network:
         deliver.t = t
         sim._enqueue(deliver, flight, NORMAL)
         self._last_delivery = deliver
-        self._last_token = sim._tail_token(deliver)
+        self._last_token = sim._tail_token()
         return params
 
     #: Cost of a same-host (loopback) datagram: no wire, just a kernel copy.
@@ -385,7 +385,7 @@ class Network:
         last = self._last_delivery
         if (last is not None and last.callbacks is self._deliver_local_cbs
                 and last.t == t and last.msg.dst == host
-                and sim._at_tail(last, self._last_token)):
+                and sim._at_tail(self._last_token)):
             more = last.more
             if more is None:
                 last.more = [(msg, None)]
@@ -409,7 +409,7 @@ class Network:
         deliver.t = t
         sim._enqueue(deliver, self.LOOPBACK_S, NORMAL)
         self._last_delivery = deliver
-        self._last_token = sim._tail_token(deliver)
+        self._last_token = sim._tail_token()
 
     def _recycle(self, ev: "_DeliveryEvent") -> None:
         """Return a drained delivery event to the free list.  Safe even

@@ -102,7 +102,6 @@ def run_job(
     profiles: Optional[List[PlatformProfile]] = None,
     metrics: Optional[MetricsRegistry] = None,
     profiler: Optional[Any] = None,
-    queue: str = "auto",
 ) -> JobResult:
     """Run *job* on *n_workers* dedicated workstations and collect stats.
 
@@ -127,11 +126,8 @@ def run_job(
         profiler: optional :class:`~repro.obs.prof.SpanProfiler` wired
             through the same seams (``repro profile``); finalized after
             the drain, with its summary on ``JobResult.profile``.
-        queue: event-queue backend for the :class:`Simulator`
-            (``"auto"``/``"heap"``/``"calendar"``; see
-            docs/performance.md, "Queue backends").
     """
-    sim = Simulator(queue=queue)
+    sim = Simulator()
     reg = RngRegistry(seed)
     tracelog = TraceLog(enabled=True, capacity=200_000) if trace else None
     network, hosts = build_cluster(

@@ -18,51 +18,24 @@ but still reproducible — interleaving per seed.  The schedule fuzzer in
 events keep strict insertion order because the kernel relies on it for
 its own bookkeeping.
 
-Queue backends (this module is the hottest code in the repository —
-every message, timeout, and task execution passes through it):
-
-``Simulator(queue=...)`` selects the event-queue implementation:
-
-* ``"heap"`` — the reference implementation: one priority queue of
-  ``(time, priority, seq, event)`` tuples (``(time, priority, sub, seq,
-  event)`` when a ``tiebreak_rng`` is installed) running in one of three
-  modes.  While events are only being scheduled (``_MODE_LAZY``) it is
-  an unsorted append-only list.  The first pop sorts it once, descending,
-  and switches to ``_MODE_DRAIN`` where each pop is an O(1) ``list.pop()``
-  from the end.  A push while draining heapifies the remainder and falls
-  back to a classic binary heap (``_MODE_HEAP``).
-* ``"calendar"`` — the accelerated backend: a calendar/bucket queue that
-  exploits the timeout quantization of the scheduled workload (steal
-  backoffs, heartbeats, and retry timers recur at a handful of deltas, so
-  many events share exact trigger times).  Events are bucketed by exact
-  float timestamp in a dict; a small heap of *distinct* times orders the
-  buckets.  Within a bucket, URGENT events drain FIFO first, then NORMAL
-  events FIFO — which *is* (priority, seq) order, so no per-event tuples
-  or comparisons are needed at all.  With a ``tiebreak_rng`` the NORMAL
-  half of each bucket stores ``(sub, seq, event)`` tuples and is sorted
-  once when the bucket is first drained (mid-drain arrivals are bisected
-  into the remaining tail), reproducing the heap's shuffled order key
-  for key.  A bucket holding a single NORMAL event is represented by the
-  bare event (no list allocations), the common case when trigger times
-  are mostly unique.
-* ``"auto"`` (default) — currently the calendar queue.
-
-Both backends pop events in exactly the same total order — the property
-tests in ``tests/sim/test_queue_equivalence.py`` drive both against a
-plain-heapq oracle, and the schedule fuzzer asserts byte-identical
-traces for full cluster runs (see docs/performance.md, "Queue
-backends").
+The event queue (this module is the hottest code in the repository —
+every message, timeout, and task execution passes through it) is one
+priority queue of ``(time, priority, seq, event)`` tuples (``(time,
+priority, sub, seq, event)`` when a ``tiebreak_rng`` is installed)
+running in one of three modes.  While events are only being scheduled
+(``_MODE_LAZY``) it is an unsorted append-only list.  The first pop
+sorts it once, descending, and switches to ``_MODE_DRAIN`` where each
+pop is an O(1) ``list.pop()`` from the end.  A push while draining
+heapifies the remainder and falls back to a classic binary heap
+(``_MODE_HEAP``).  The modes are invisible: the property tests in
+``tests/sim/test_queue_equivalence.py`` drive the kernel against a
+plain-heapq oracle (see docs/performance.md, "The event queue").
 
 Other hot-path machinery:
 
 * :class:`Timeout` events start with a shared immutable empty-callbacks
   marker instead of a fresh list; :meth:`Event.subscribe` materialises a
   real list on first use.  ``processed`` remains ``callbacks is None``.
-* The calendar backend recycles :class:`Timeout` objects through a
-  per-simulator free list: after a waited-on timeout has fired and its
-  callbacks have run, ``sys.getrefcount`` proves no caller still holds a
-  reference, and the object is reused by a later :meth:`Simulator.timeout`
-  call instead of allocating a fresh one.
 * :meth:`Simulator.call_soon` and the already-processed branch of
   :meth:`Event.subscribe` ride pooled slotted one-shot events
   (:class:`_SoonEvent`) — no per-call lambda, list, or garbage event.
@@ -72,20 +45,18 @@ Other hot-path machinery:
   when user code can observe them, instead of dispatching
   ``peek()``/``step()`` per event.  The drain calls the monitor hook at
   exactly the event counts ``step()`` would.
-* Run-ahead (calendar backend only): inside the drain, a process about
-  to wait on ``timeout(delay)`` may call :meth:`Simulator.try_advance`
-  instead.  When ``now + delay`` is strictly earlier than every queued
-  event and within the drain's limit, that timeout would provably be the
-  very next event processed, so the clock moves in place and the
-  process continues without a kernel event (docs/performance.md,
-  "Run-ahead").
+* Run-ahead: inside the drain, a process about to wait on
+  ``timeout(delay)`` may call :meth:`Simulator.try_advance` instead.
+  When ``now + delay`` is strictly earlier than every queued event and
+  within the drain's limit, that timeout would provably be the very
+  next event processed, so the clock moves in place and the process
+  continues without a kernel event (docs/performance.md, "Run-ahead").
 """
 
 from __future__ import annotations
 
 import sys
 from heapq import heapify as _heapify, heappop as _heappop, heappush as _heappush
-from bisect import insort as _insort
 from typing import Any, Callable, Generator, List, Optional
 
 from repro.errors import SimulationError
@@ -102,8 +73,7 @@ _PENDING = object()
 #: ``subscribe`` swaps in a real list the first time one is needed.
 _NO_CALLBACKS: tuple = ()
 
-#: Event-queue modes of the reference ("heap") backend (see module
-#: docstring).
+#: Event-queue modes (see module docstring).
 _MODE_LAZY = 0   # append-only; nothing popped yet
 _MODE_DRAIN = 1  # sorted descending; pop from the end
 _MODE_HEAP = 2   # classic heapq
@@ -114,34 +84,14 @@ _NEG_INF = -_INF
 #: ``_mon_next`` while no monitor is installed: a count never reached.
 _NO_MONITOR = sys.maxsize
 
-#: Recognised queue-backend names for ``Simulator(queue=...)``.
-QUEUE_BACKENDS = ("auto", "heap", "calendar")
-
-#: Free-list bounds: per-simulator pools never grow past these, so a
-#: burst of events cannot pin memory forever.
-_TIMEOUT_POOL_MAX = 1024
+#: Bound on the per-simulator :class:`_SoonEvent` free list, so a burst
+#: of callbacks cannot pin memory forever.
 _SOON_POOL_MAX = 64
-
-#: ``sys.getrefcount`` where available (CPython); the fallback returns a
-#: count that never matches, disabling event recycling rather than
-#: risking a live object in the pool.
-_refcount = getattr(sys, "getrefcount", lambda _obj: -1)
 
 _DEADLOCK_MSG = (
     "simulation ran out of events before the awaited event triggered "
     "(deadlock?)"
 )
-
-
-def _resolve_queue(queue: str) -> str:
-    """Map a ``Simulator(queue=...)`` argument to a concrete backend."""
-    if queue == "auto":
-        return "calendar"
-    if queue in ("heap", "calendar"):
-        return queue
-    raise SimulationError(
-        f"unknown queue backend {queue!r}; expected one of {QUEUE_BACKENDS}"
-    )
 
 
 class Interrupt(Exception):
@@ -453,21 +403,9 @@ class Simulator:
         tiebreak_rng: optional seeded RNG perturbing same-time
             NORMAL-event order (schedule fuzzing); install it at
             construction time, before scheduling anything.
-        queue: event-queue backend — ``"heap"`` (the reference
-            three-mode queue), ``"calendar"`` (the accelerated bucket
-            queue), or ``"auto"`` (currently the calendar queue).  Both
-            backends process events in exactly the same total order; see
-            the module docstring and docs/performance.md.
     """
 
-    def __new__(cls, tiebreak_rng: Optional[Any] = None, queue: str = "auto") -> "Simulator":
-        if cls is Simulator and _resolve_queue(queue) == "calendar":
-            cls = CalendarSimulator
-        return object.__new__(cls)
-
-    def __init__(self, tiebreak_rng: Optional[Any] = None, queue: str = "auto") -> None:
-        #: Resolved backend name ("heap" or "calendar").
-        self.queue_backend = "heap"
+    def __init__(self, tiebreak_rng: Optional[Any] = None) -> None:
         #: Current simulated time in seconds.
         self.now: float = 0.0
         self._heap: List = []
@@ -493,6 +431,11 @@ class Simulator:
         #: Free list of :class:`_SoonEvent` carriers (see call_soon).
         self._soon_pool: List[_SoonEvent] = []
         self._run_aheads = 0
+        #: Run-ahead window (see try_advance): the running drain's limit
+        #: while a callback that may run ahead executes, else -inf; and
+        #: the drain's stop condition.
+        self._ra_limit = _NEG_INF
+        self._ra_stop: Any = None
 
     @property
     def run_aheads(self) -> int:
@@ -580,14 +523,29 @@ class Simulator:
         :attr:`events_processed` and, under ``tiebreak_rng``, uses up the
         sequence number and shuffle draw the timeout would have taken, so
         every later event keeps its exact place in the total order.
-
-        The reference ("heap") backend never runs ahead; it stays the
-        plain-stepping oracle that ``repro check --verify-queue``
-        compares the calendar backend against.
         """
         if delay < 0:
             raise SimulationError(f"negative timeout delay {delay!r}")
-        return False
+        t = self.now + delay
+        if t > self._ra_limit or self.events_processed + 1 >= self._mon_next:
+            return False
+        heap = self._heap
+        # Inside a drain the queue is never lazy: it is sorted (head at
+        # the end) or a heap (head at the front).
+        if heap and (heap[0][0] if self._mode == _MODE_HEAP
+                     else heap[-1][0]) <= t:
+            return False
+        stop = self._ra_stop
+        if stop is not None and stop.fired:
+            return False
+        rng = self.tiebreak_rng
+        if rng is not None:
+            self._seq += 1
+            rng.random()
+        self.now = t
+        self.events_processed += 1
+        self._run_aheads += 1
+        return True
 
     # -- scheduling & execution -------------------------------------------
 
@@ -614,21 +572,19 @@ class Simulator:
             _heapify(self._heap)
             self._mode = _MODE_HEAP
 
-    def _tail_token(self, event: Event) -> Any:
-        """Opaque token for :meth:`_at_tail` (delivery coalescing)."""
+    def _tail_token(self) -> Any:
+        """Opaque token for :meth:`_at_tail` (delivery coalescing), taken
+        right after enqueueing the event to coalesce onto."""
         return self._seq
 
-    def _at_tail(self, event: Event, token: Any) -> bool:
-        """True iff *event* is still the queue tail among entries sharing
-        its (time, NORMAL) key — i.e. a new enqueue at that key would
-        land directly after it, so batching the two preserves the exact
-        total order.  The reference backend proves it conservatively: no
-        event of any kind has been enqueued since the token was taken.
+    def _at_tail(self, token: Any) -> bool:
+        """True iff the event enqueued just before *token* was taken is
+        still the queue tail among entries sharing its (time, NORMAL)
+        key — i.e. a new enqueue at that key would land directly after
+        it, so batching the two preserves the exact total order.  Proven
+        conservatively: no event of any kind has been enqueued since.
         """
         return self.tiebreak_rng is None and self._seq == token
-
-    def _queue_len(self) -> int:
-        return len(self._heap)
 
     def peek(self) -> float:
         """Time of the next scheduled event, or +inf if none."""
@@ -742,6 +698,18 @@ class Simulator:
         self.monitor(self)
         return self.monitor_interval
 
+    def _run_callbacks(self, cbs: Any, ev: Event, limit: float) -> None:
+        """Run the callbacks of an event that has several.  Only the last
+        may run ahead: an earlier one moving the clock would make the
+        rest run at the wrong time."""
+        self._ra_limit = _NEG_INF
+        try:
+            for cb in cbs[:-1]:
+                cb(ev)
+        finally:
+            self._ra_limit = limit
+        cbs[-1](ev)
+
     def _drain(self, limit: float, stop: Any) -> None:
         """Batched event loop: process events with time <= *limit* until
         the queue empties or *stop* fires (``stop.fired`` is checked after
@@ -750,13 +718,16 @@ class Simulator:
         the processed-events counter are written back only when user code
         can observe them (callbacks, the monitor, exceptions, exit), and
         the pop mode is kept in a local that is refreshed whenever
-        callbacks ran (only user code can flip it).
+        callbacks ran (only user code can flip it), as is the clock,
+        which :meth:`try_advance` may have moved.
         """
         heap = self._heap
         mode = self._mode
         now = self.now
         mon_left = self._arm_monitor()
         n = 0
+        self._ra_limit = limit
+        self._ra_stop = stop
         try:
             while heap:
                 if mode == _MODE_HEAP:
@@ -780,8 +751,11 @@ class Simulator:
                     self.now = now
                     self.events_processed += n
                     n = 0
-                    for callback in callbacks:
-                        callback(event)
+                    if len(callbacks) == 1:
+                        callbacks[0](event)
+                    else:
+                        self._run_callbacks(callbacks, event, limit)
+                    now = self.now
                     if event._ok is False and not event.defused:
                         raise event._value
                     mon_left = self._mon_next - self.events_processed
@@ -801,427 +775,9 @@ class Simulator:
         finally:
             self.now = now
             self.events_processed += n
+            self._ra_limit = _NEG_INF
+            self._ra_stop = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<{type(self).__name__} now={self.now:.6f} "
-                f"queued={self._queue_len()}>")
-
-
-class CalendarSimulator(Simulator):
-    """Calendar/bucket-queue backend (``Simulator(queue="calendar")``).
-
-    Events are bucketed by exact trigger time in ``_buckets``; a heap of
-    distinct times (``_times``) orders the buckets.  Bucket shapes:
-
-    * a bare :class:`Event` — a single NORMAL event, no ``tiebreak_rng``
-      (the dominant case when trigger times are mostly unique); promoted
-      to a full bucket if a second event lands on the same time;
-    * a list ``[urgent, normal, u_i, n_i, sorted]`` — ``urgent`` (a list
-      or None) drains FIFO first, then ``normal``; ``u_i``/``n_i`` are
-      drain cursors so mid-drain arrivals at the same time are picked up
-      in exactly the (priority, seq) order the reference backend would
-      produce.  With a ``tiebreak_rng``, ``normal`` holds ``(sub, seq,
-      event)`` tuples, is sorted when first drained (``sorted`` flag),
-      and mid-drain arrivals are bisected into the remaining tail.
-
-    A drained bucket is deleted only once exhausted, so same-time
-    arrivals during its callbacks always join the live bucket; the
-    one-bucket-at-a-time invariant (``_cur``) holds because the clock
-    never moves backwards.  Only ``step()`` and the drain delete
-    buckets: ``peek()`` is a pure query, safe to call from a callback in
-    the middle of a drain.
-    """
-
-    def __init__(self, tiebreak_rng: Optional[Any] = None, queue: str = "calendar") -> None:
-        super().__init__(tiebreak_rng, queue="heap")
-        self.queue_backend = "calendar"
-        self._buckets: dict = {}
-        self._times: List[float] = []
-        #: Bucket currently being drained (list shape), or None.
-        self._cur: Optional[list] = None
-        self._cur_time = 0.0
-        #: Free list of recycled Timeout objects (see module docstring).
-        self._timeout_pool: List[Timeout] = []
-        #: Run-ahead window (see try_advance): the running drain's limit
-        #: while a callback that may run ahead executes, else -inf; and
-        #: the drain's stop condition.
-        self._ra_limit = _NEG_INF
-        self._ra_stop: Any = None
-
-    # -- scheduling --------------------------------------------------------
-
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """See :meth:`Simulator.timeout`; calendar fast path."""
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay {delay!r}")
-        if self.tiebreak_rng is not None:
-            ev = Timeout.__new__(Timeout)
-            ev.sim = self
-            ev.callbacks = _NO_CALLBACKS
-            ev._value = value
-            ev._ok = True
-            ev.defused = False
-            self._enqueue(ev, delay, NORMAL)
-            return ev
-        pool = self._timeout_pool
-        if pool:
-            ev = pool.pop()
-            ev.callbacks = _NO_CALLBACKS
-            ev._value = value
-            ev.defused = False
-        else:
-            ev = Timeout.__new__(Timeout)
-            ev.sim = self
-            ev.callbacks = _NO_CALLBACKS
-            ev._value = value
-            ev._ok = True
-            ev.defused = False
-        t = self.now + delay
-        buckets = self._buckets
-        b = buckets.get(t)
-        if b is None:
-            buckets[t] = ev
-            _heappush(self._times, t)
-        elif type(b) is list:
-            b[1].append(ev)
-        else:
-            buckets[t] = [None, [b, ev], 0, 0, False]
-        return ev
-
-    def _enqueue(self, event: Event, delay: float, priority: int) -> None:
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay!r}")
-        t = self.now + delay
-        buckets = self._buckets
-        b = buckets.get(t)
-        rng = self.tiebreak_rng
-        if rng is None:
-            if b is None:
-                if priority == NORMAL:
-                    buckets[t] = event
-                else:
-                    buckets[t] = [[event], [], 0, 0, False]
-                _heappush(self._times, t)
-            elif type(b) is list:
-                if priority == NORMAL:
-                    b[1].append(event)
-                else:
-                    u = b[0]
-                    if u is None:
-                        b[0] = [event]
-                    else:
-                        u.append(event)
-            elif priority == NORMAL:
-                buckets[t] = [None, [b, event], 0, 0, False]
-            else:
-                buckets[t] = [[event], [b], 0, 0, False]
-            return
-        # Fuzzing mode: NORMAL entries carry a (sub, seq) shuffle key.
-        seq = self._seq = self._seq + 1
-        if b is None:
-            b = buckets[t] = [None, [], 0, 0, False]
-            _heappush(self._times, t)
-        elif type(b) is not list:
-            # A bare pre-rng singleton (tiebreak_rng installed after
-            # scheduling — unsupported but tolerated): keep it first.
-            b = buckets[t] = [None, [(-1.0, 0, b)], 0, 0, False]
-        if priority == NORMAL:
-            sub = rng.random()
-            normal = b[1]
-            if b[4]:
-                # The bucket is mid-drain: keep the remaining tail sorted.
-                _insort(normal, (sub, seq, event), b[3])
-            else:
-                normal.append((sub, seq, event))
-        else:
-            u = b[0]
-            if u is None:
-                b[0] = [event]
-            else:
-                u.append(event)
-
-    def _tail_token(self, event: Event) -> Any:
-        return None
-
-    def _at_tail(self, event: Event, token: Any) -> bool:
-        # Structural check: the event must still be the last NORMAL entry
-        # of a live bucket (rng mode stores tuples, so the identity test
-        # fails there and coalescing is off — as it must be, because a
-        # new entry would draw its own shuffle key).
-        try:
-            b = self._buckets.get(event.t)
-        except AttributeError:  # pragma: no cover - defensive
-            return False
-        if b is event:
-            return True
-        if type(b) is list:
-            normal = b[1]
-            return bool(normal) and normal[-1] is event
-        return False
-
-    # -- queue state -------------------------------------------------------
-
-    @staticmethod
-    def _bucket_live(b: list) -> bool:
-        """True if the list-shaped bucket still has undrained events."""
-        u = b[0]
-        return (u is not None and b[2] < len(u)) or b[3] < len(b[1])
-
-    def _queue_len(self) -> int:
-        n = 0
-        for b in self._buckets.values():
-            if type(b) is not list:
-                n += 1
-                continue
-            u = b[0]
-            if u is not None:
-                n += len(u) - b[2]
-            n += len(b[1]) - b[3]
-        return n
-
-    def peek(self) -> float:
-        b = self._cur
-        if b is not None and self._bucket_live(b):
-            return self._cur_time
-        times = self._times
-        return times[0] if times else _INF
-
-    def try_advance(self, delay: float) -> bool:
-        """See :meth:`Simulator.try_advance`; the calendar backend runs
-        ahead."""
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay {delay!r}")
-        t = self.now + delay
-        if t > self._ra_limit or self.events_processed + 1 >= self._mon_next:
-            return False
-        b = self._cur
-        if b is not None and self._bucket_live(b):
-            return False
-        times = self._times
-        if times and times[0] <= t:
-            return False
-        stop = self._ra_stop
-        if stop is not None and stop.fired:
-            return False
-        rng = self.tiebreak_rng
-        if rng is not None:
-            self._seq += 1
-            rng.random()
-        self.now = t
-        self.events_processed += 1
-        self._run_aheads += 1
-        return True
-
-    # -- execution ---------------------------------------------------------
-
-    def step(self) -> None:
-        b = self._cur
-        if b is not None and not self._bucket_live(b):
-            del self._buckets[self._cur_time]
-            self._cur = b = None
-        if b is None:
-            times = self._times
-            if not times:
-                raise SimulationError("step() on an empty schedule")
-            t = _heappop(times)
-            if t < self.now:
-                raise SimulationError("time went backwards (kernel bug)")
-            b = self._buckets[t]
-            if type(b) is not list:
-                # Singleton: retire it before its callbacks run so a
-                # same-time arrival opens a fresh bucket behind it.
-                del self._buckets[t]
-                self.now = t
-                self._process_one(b)
-                return
-            self._cur = b
-            self._cur_time = t
-        self.now = self._cur_time
-        u = b[0]
-        if u is not None and b[2] < len(u):
-            i = b[2]
-            b[2] = i + 1
-            ev = u[i]
-        else:
-            i = b[3]
-            b[3] = i + 1
-            if self.tiebreak_rng is not None:
-                if not b[4]:
-                    b[1].sort()
-                    b[4] = True
-                ev = b[1][i][2]
-            else:
-                ev = b[1][i]
-        self._process_one(ev)
-
-    def _process_one(self, event: Event) -> None:
-        callbacks = event.callbacks
-        event.callbacks = None
-        self.events_processed += 1
-        if callbacks:
-            for callback in callbacks:
-                callback(event)
-        if event._ok is False and not event.defused:
-            raise event._value
-        if self.monitor is not None and self.events_processed % self.monitor_interval == 0:
-            self.monitor(self)
-
-    def _run_callbacks(self, cbs: Any, ev: Event, limit: float) -> None:
-        """Run the callbacks of an event that has several.  Only the last
-        may run ahead: an earlier one moving the clock would make the
-        rest run at the wrong time."""
-        self._ra_limit = _NEG_INF
-        try:
-            for cb in cbs[:-1]:
-                cb(ev)
-        finally:
-            self._ra_limit = limit
-        cbs[-1](ev)
-
-    def _drain(self, limit: float, stop: Any) -> None:
-        """Batched drain (see :meth:`Simulator._drain` for the contract),
-        with run-ahead enabled for the callbacks it runs.
-
-        Bucket lengths and cursors live in locals on the no-callback
-        fast path; they are written back before callbacks run (the only
-        code that can observe or change them) and refreshed after, as is
-        the clock, which :meth:`try_advance` may have moved.
-        """
-        buckets = self._buckets
-        times = self._times
-        pool = self._timeout_pool
-        rng_mode = self.tiebreak_rng is not None
-        now = self.now
-        mon_left = self._arm_monitor()
-        n = 0
-        self._ra_limit = limit
-        self._ra_stop = stop
-        try:
-            while True:
-                b = self._cur
-                if b is None:
-                    if not times or times[0] > limit:
-                        break
-                    t = _heappop(times)
-                    if t < now:
-                        raise SimulationError("time went backwards (kernel bug)")
-                    now = t
-                    b = buckets[t]
-                    if type(b) is not list:
-                        # Singleton bucket: one NORMAL event, retired
-                        # before its callbacks run (see step()).  `b` is
-                        # deliberately the only local referencing it so
-                        # the recycle refcount check below stays exact.
-                        del buckets[t]
-                        n += 1
-                        cbs = b.callbacks
-                        b.callbacks = None
-                        if cbs:
-                            self.now = now
-                            self.events_processed += n
-                            n = 0
-                            if len(cbs) == 1:
-                                cbs[0](b)
-                            else:
-                                self._run_callbacks(cbs, b, limit)
-                            now = self.now
-                            if b._ok is False and not b.defused:
-                                raise b._value
-                            if (type(b) is Timeout and _refcount(b) == 2
-                                    and len(pool) < _TIMEOUT_POOL_MAX):
-                                pool.append(b)
-                            mon_left = self._mon_next - self.events_processed
-                            if not mon_left:
-                                mon_left = self._fire_monitor()
-                            if stop is not None and stop.fired:
-                                return
-                        elif b._ok is False and not b.defused:
-                            raise b._value
-                        elif n == mon_left:
-                            self.now = now
-                            self.events_processed += n
-                            n = 0
-                            mon_left = self._fire_monitor()
-                        continue
-                    self._cur = b
-                    self._cur_time = t
-                # else: resuming a bucket a stopped drain left; the
-                # clock already reads its time, or a later one if the
-                # bucket was exhausted and a callback then ran ahead.
-                urgent = b[0]
-                normal = b[1]
-                ui = b[2]
-                ni = b[3]
-                u_len = 0 if urgent is None else len(urgent)
-                n_len = len(normal)
-                while True:
-                    if ui < u_len:
-                        ev = urgent[ui]
-                        ui += 1
-                    elif ni < n_len:
-                        if rng_mode:
-                            if not b[4]:
-                                normal.sort()
-                                b[4] = True
-                            ev = normal[ni][2]
-                        else:
-                            ev = normal[ni]
-                        ni += 1
-                    else:
-                        break
-                    n += 1
-                    cbs = ev.callbacks
-                    ev.callbacks = None
-                    if cbs:
-                        b[2] = ui
-                        b[3] = ni
-                        self.now = now
-                        self.events_processed += n
-                        n = 0
-                        if len(cbs) == 1:
-                            cbs[0](ev)
-                        else:
-                            self._run_callbacks(cbs, ev, limit)
-                        now = self.now
-                        if ev._ok is False and not ev.defused:
-                            raise ev._value
-                        if (type(ev) is Timeout and _refcount(ev) == 3
-                                and len(pool) < _TIMEOUT_POOL_MAX):
-                            # The bucket slot and our local are the only
-                            # remaining references: nobody can observe
-                            # this timeout again, so recycle it.
-                            pool.append(ev)
-                        mon_left = self._mon_next - self.events_processed
-                        if not mon_left:
-                            mon_left = self._fire_monitor()
-                        if stop is not None and stop.fired:
-                            return
-                    elif ev._ok is False and not ev.defused:
-                        b[2] = ui
-                        b[3] = ni
-                        raise ev._value
-                    elif n == mon_left:
-                        b[2] = ui
-                        b[3] = ni
-                        self.now = now
-                        self.events_processed += n
-                        n = 0
-                        mon_left = self._fire_monitor()
-                    else:
-                        continue
-                    # Callbacks or the monitor ran: same-time arrivals
-                    # may have grown the bucket.
-                    urgent = b[0]
-                    ui = b[2]
-                    ni = b[3]
-                    u_len = 0 if urgent is None else len(urgent)
-                    n_len = len(normal)
-                b[2] = ui
-                b[3] = ni
-                del buckets[self._cur_time]
-                self._cur = None
-        finally:
-            self.now = now
-            self.events_processed += n
-            self._ra_limit = _NEG_INF
-            self._ra_stop = None
+                f"queued={len(self._heap)}>")

@@ -364,7 +364,7 @@ class TestEventQueueModes:
 
     def test_starts_lazy_then_drains_sorted(self):
         LAZY, DRAIN, _HEAP = self._modes()
-        sim = Simulator(queue="heap")
+        sim = Simulator()
         assert sim._mode == LAZY
         for d in (5.0, 1.0, 3.0):
             sim.timeout(d)
@@ -377,7 +377,7 @@ class TestEventQueueModes:
 
     def test_push_during_drain_falls_back_to_heap(self):
         _LAZY, DRAIN, HEAP = self._modes()
-        sim = Simulator(queue="heap")
+        sim = Simulator()
         for d in (2.0, 4.0, 6.0):
             sim.timeout(d)
         sim.step()  # sorts, drains the t=2 event
@@ -412,13 +412,13 @@ class TestEventQueueModes:
                 sim.timeout(d).subscribe(lambda ev, i=i: fire(ev, i))
 
         # Drive one copy with run()'s fast drain loop...
-        run_sim, run_order = Simulator(queue="heap"), []
+        run_sim, run_order = Simulator(), []
         wire(run_sim, run_order)
         run_sim.run()
 
         # ...and an identical copy one step() at a time, with peek()
         # observations interleaved (peek flips lazy -> drain early).
-        step_sim, step_order = Simulator(queue="heap"), []
+        step_sim, step_order = Simulator(), []
         wire(step_sim, step_order)
         while step_sim.peek() != float("inf"):
             step_sim.step()
@@ -430,7 +430,7 @@ class TestEventQueueModes:
 
     def test_peek_in_every_mode(self):
         LAZY, DRAIN, HEAP = self._modes()
-        sim = Simulator(queue="heap")
+        sim = Simulator()
         assert sim.peek() == float("inf")  # empty, lazy
         sim.timeout(3.0)
         sim.timeout(1.0)
@@ -444,7 +444,7 @@ class TestEventQueueModes:
         assert sim.peek() == float("inf")  # drained
 
     def test_run_until_horizon_across_modes(self):
-        sim = Simulator(queue="heap")
+        sim = Simulator()
         hits = []
         for d in (1.0, 2.0, 3.0, 4.0):
             sim.timeout(d).subscribe(lambda ev: hits.append(ev.sim.now))

@@ -1,19 +1,16 @@
-"""Queue-backend equivalence: heap vs calendar vs a plain-heapq oracle.
+"""The kernel's order contract: the event queue vs a plain-heapq oracle.
 
-The calendar backend is only allowed to exist because it is
-unobservable: every push/pop sequence must come out in exactly the
-(time, priority, seq) total order the reference heap backend produces —
-including the ``tiebreak_rng`` sub-key shape, where each NORMAL enqueue
-draws one ``rng.random()`` in enqueue order.  These tests drive random
-operation scripts (quantized + arbitrary delays, URGENT/NORMAL mixes,
-pops interleaved with pushes, nested pushes from inside callbacks)
-through both backends and an independent plain-``heapq`` oracle, then
-assert the three pop orders are identical.
-
-The full-system half of the contract — byte-identical ``TraceLog`` for
-entire checked cluster runs — is covered by the
-``verify_queue_backends`` sweep at the bottom (and by CI's 50-seed
-smoke step; see docs/performance.md, "Queue backends").
+The three-mode queue (lazy list, sorted drain, binary heap) is only
+allowed because it is unobservable: every push/pop sequence must come
+out in exactly the (time, priority, seq) total order a plain ``heapq``
+gives — including the ``tiebreak_rng`` sub-key shape, where each NORMAL
+enqueue draws one ``rng.random()`` in enqueue order.  These tests drive
+random operation scripts (quantized + arbitrary delays, URGENT/NORMAL
+mixes, pops interleaved with pushes, nested pushes from inside
+callbacks) through the kernel, by ``step()`` and by ``run()``'s batched
+drain, and through an independent plain-``heapq`` oracle, then assert
+the pop orders are identical (see docs/performance.md, "The event
+queue").
 """
 
 import heapq
@@ -21,10 +18,12 @@ import random
 
 import pytest
 
-from repro.sim.core import NORMAL, URGENT, Event, Simulator
+from repro.sim.core import (
+    _MODE_DRAIN, _MODE_HEAP, NORMAL, URGENT, Event, Simulator,
+)
 
 #: The steal-backoff-style quantized delay set: lots of exact-time
-#: collisions, which is the whole point of the calendar layout.
+#: collisions, so the tie-break keys decide much of the order.
 QUANTIZED = (0.0, 0.001, 0.002, 0.004, 0.008)
 
 
@@ -63,11 +62,11 @@ class SimAdapter:
     Every pushed event carries an integer label; processing appends
     ``(now, label)`` to ``order``.  Nested pushes (from inside the
     event's callback) are triggered by the shared script, keeping the
-    rng draw sequence aligned across backends and oracle.
+    rng draw sequence aligned between kernel and oracle.
     """
 
-    def __init__(self, queue, rng=None):
-        self.sim = Simulator(tiebreak_rng=rng, queue=queue)
+    def __init__(self, rng=None):
+        self.sim = Simulator(tiebreak_rng=rng)
         self.order = []
         self._nested = {}
 
@@ -139,9 +138,9 @@ def _make_script(seed, n_ops=120):
     return script
 
 
-def _run_script(seed, queue, rng_seed, use_run_drain):
+def _run_script(seed, driver, rng_seed, use_run_drain):
     rng = random.Random(rng_seed) if rng_seed is not None else None
-    if queue == "oracle":
+    if driver == "oracle":
         oracle = OracleQueue(rng)
         nested_map = {}
         order = []
@@ -164,7 +163,7 @@ def _run_script(seed, queue, rng_seed, use_run_drain):
             for d, p, sub in nested_map.pop(lab, ()):
                 oracle.push(d, p, sub)
         return order
-    adapter = SimAdapter(queue, rng)
+    adapter = SimAdapter(rng)
     for op, arg in _make_script(seed):
         if op == "push":
             d, p, lab, nested = arg
@@ -181,12 +180,10 @@ def _run_script(seed, queue, rng_seed, use_run_drain):
 @pytest.mark.parametrize("rng_seed", [None, 1, 2, 3])
 @pytest.mark.parametrize("seed", range(8))
 def test_backends_match_oracle_stepped(seed, rng_seed):
-    """step()-driven: heap, calendar, and the oracle pop identically."""
+    """step()-driven: the kernel and the oracle pop identically."""
     oracle = _run_script(seed, "oracle", rng_seed, use_run_drain=False)
-    heap = _run_script(seed, "heap", rng_seed, use_run_drain=False)
-    calendar = _run_script(seed, "calendar", rng_seed, use_run_drain=False)
-    assert heap == oracle
-    assert calendar == oracle
+    kernel = _run_script(seed, "kernel", rng_seed, use_run_drain=False)
+    assert kernel == oracle
     assert len(oracle) > 50  # the script actually exercised something
 
 
@@ -195,98 +192,53 @@ def test_backends_match_oracle_stepped(seed, rng_seed):
 def test_backends_match_oracle_run_drain(seed, rng_seed):
     """run()-driven (the batched fast paths) matches the same oracle."""
     oracle = _run_script(seed, "oracle", rng_seed, use_run_drain=False)
-    heap = _run_script(seed, "heap", rng_seed, use_run_drain=True)
-    calendar = _run_script(seed, "calendar", rng_seed, use_run_drain=True)
-    assert heap == oracle
-    assert calendar == oracle
+    kernel = _run_script(seed, "kernel", rng_seed, use_run_drain=True)
+    assert kernel == oracle
 
 
 def test_urgent_keeps_insertion_order_under_rng():
     """URGENT events never get a shuffle sub-key: even with a
-    tiebreak_rng, same-time URGENT events pop in insertion order on
-    both backends."""
-    for queue in ("heap", "calendar"):
-        sim = Simulator(tiebreak_rng=random.Random(0), queue=queue)
-        order = []
-        for i in range(10):
-            ev = Event(sim)
-            ev._ok = True
-            ev._value = None
-            ev.subscribe(lambda _ev, i=i: order.append(i))
-            sim._enqueue(ev, 1.0, URGENT)
-        sim.run()
-        assert order == list(range(10)), queue
+    tiebreak_rng, same-time URGENT events pop in insertion order."""
+    sim = Simulator(tiebreak_rng=random.Random(0))
+    order = []
+    for i in range(10):
+        ev = Event(sim)
+        ev._ok = True
+        ev._value = None
+        ev.subscribe(lambda _ev, i=i: order.append(i))
+        sim._enqueue(ev, 1.0, URGENT)
+    sim.run()
+    assert order == list(range(10))
 
 
-@pytest.mark.parametrize("queue", ["heap", "calendar"])
+@pytest.mark.parametrize("mode", ["drain", "heap"])
 @pytest.mark.parametrize("peeker", range(3))
-def test_peek_from_a_callback_has_no_side_effects(queue, peeker):
+def test_peek_from_a_callback_has_no_side_effects(mode, peeker):
     """``peek()`` called by a process mid-``run()`` must leave the drain
-    undisturbed.  The calendar backend used to retire the live bucket
-    from inside the query, and the drain then crashed deleting it a
-    second time."""
-    sim = Simulator(queue=queue)
+    undisturbed, whether the queue is still the sorted drain list (the
+    wake-ups were scheduled before the run) or already a binary heap
+    (scheduled from inside it)."""
+    sim = Simulator()
     seen = []
+    modes = []
+    early = {}
+    if mode == "drain":
+        early = {i: sim.timeout(1.0) for i in range(3)}
+        early["rest"] = sim.timeout(2.0)
 
     def proc(i):
-        yield sim.timeout(1.0)
+        yield early.get(i) or sim.timeout(1.0)
         if i == peeker:
+            modes.append(sim._mode)
             seen.append(sim.peek())
         seen.append((i, sim.now))
+        yield early.get("rest") or sim.timeout(1.0)
 
     for i in range(3):
         sim.process(proc(i))
     sim.run()
-    later = peeker < 2
-    assert seen.pop(peeker) == (1.0 if later else float("inf"))
+    assert modes == [_MODE_HEAP if mode == "heap" else _MODE_DRAIN]
+    assert seen.pop(peeker) == (1.0 if peeker < 2 else 2.0)
     assert seen == [(0, 1.0), (1, 1.0), (2, 1.0)]
+    assert sim.now == 2.0
     assert sim.peek() == float("inf")
-
-
-def test_calendar_is_the_auto_default():
-    assert Simulator().queue_backend == "calendar"
-    assert Simulator(queue="auto").queue_backend == "calendar"
-    assert Simulator(queue="heap").queue_backend == "heap"
-    assert Simulator(queue="calendar").queue_backend == "calendar"
-    with pytest.raises(Exception):
-        Simulator(queue="wat")
-
-
-def test_timeout_pool_recycles_unreferenced_timeouts():
-    """The calendar backend reuses waited-on Timeout objects, but never
-    one the caller still holds a reference to."""
-    sim = Simulator(queue="calendar")
-    seen = []
-
-    def waiter(sim):
-        for _ in range(8):
-            yield sim.timeout(1.0)
-            seen.append(None)
-
-    sim.process(waiter(sim))
-    sim.run()
-    assert len(seen) == 8
-    assert len(sim._timeout_pool) >= 1  # the churn fed the free list
-
-    # A held timeout must NOT be recycled out from under the holder.
-    sim2 = Simulator(queue="calendar")
-    held = sim2.timeout(1.0, value="mine")
-
-    def other(sim):
-        yield sim.timeout(1.0)
-
-    sim2.process(other(sim2))
-    sim2.run()
-    assert held.value == "mine"
-    assert all(ev is not held for ev in sim2._timeout_pool)
-
-
-@pytest.mark.parametrize("app", ["fib", "shrink"])
-def test_fuzz_traces_byte_identical_across_backends(app):
-    """Full checked cluster runs: the two backends must produce
-    byte-identical TraceLogs seed for seed (a small window here; the
-    50-seed sweep runs in CI via ``repro check --verify-queue``)."""
-    from repro.check import verify_queue_backends
-
-    result = verify_queue_backends(app, n_seeds=6, n_workers=4)
-    assert result.ok, result.summary()

@@ -1,13 +1,12 @@
 """Run-ahead: ``Simulator.try_advance`` must be unobservable.
 
 A process that would wait on ``timeout(delay)`` may instead ask the
-kernel to move the clock in place.  The calendar backend agrees only
-when that timeout would provably be the next event processed, so every
+kernel to move the clock in place.  The kernel agrees only when that
+timeout would provably be the next event processed, so every
 observable — event order, clock readings, ``events_processed``, monitor
 calls, whole-cluster traces — must be exactly what yielding the timeout
-gives.  The tests compare runs with ``try_advance`` patched off (the
-base-class refusal, which is also what the heap backend does) against
-runs with it on.
+gives.  The tests compare runs with ``try_advance`` patched off (always
+refusing, which is plain stepping) against runs with it on.
 """
 
 import dataclasses
@@ -28,18 +27,9 @@ def charge(sim, delay):
         yield sim.timeout(delay)
 
 
-def test_heap_backend_never_runs_ahead():
-    sim = Simulator(queue="heap")
-    answers = []
-
-    def proc():
-        answers.append(sim.try_advance(1.0))
-        yield sim.timeout(1.0)
-
-    sim.process(proc())
-    sim.run()
-    assert answers == [False]
-    assert sim.run_aheads == 0
+def _never(sim, delay):
+    """``try_advance`` patched off: always refuse."""
+    return False
 
 
 @pytest.mark.parametrize("priority", ["normal", "urgent"])
@@ -83,25 +73,27 @@ def test_zero_delay_is_blocked_by_same_time_events():
     assert answers[0] == (0, False)
 
 
-def test_run_until_horizon_never_advances_past_it():
+def test_run_until_horizon_never_advances_past_it(monkeypatch):
     seen = {}
-    for mode in ("heap", "calendar"):
-        sim = Simulator(queue=mode)
-        clock = []
+    for how in ("off", "on"):
+        with monkeypatch.context() as m:
+            if how == "off":
+                m.setattr(core.Simulator, "try_advance", _never)
+            sim = Simulator()
+            clock = []
 
-        def proc():
-            while True:
-                yield from charge(sim, 0.3)
-                clock.append(sim.now)
+            def proc():
+                while True:
+                    yield from charge(sim, 0.3)
+                    clock.append(sim.now)
 
-        sim.process(proc())
-        sim.run(until=1.0)
-        assert sim.now == 1.0
-        assert max(clock) <= 1.0
-        seen[mode] = (clock, sim.events_processed)
-        if mode == "calendar":
-            assert sim.run_aheads == len(clock)
-    assert seen["heap"] == seen["calendar"]
+            sim.process(proc())
+            sim.run(until=1.0)
+            assert sim.now == 1.0
+            assert max(clock) <= 1.0
+            seen[how] = (clock, sim.events_processed)
+            assert sim.run_aheads == (len(clock) if how == "on" else 0)
+    assert seen["off"] == seen["on"]
 
 
 def test_step_never_runs_ahead():
@@ -127,10 +119,9 @@ def test_run_ahead_outside_the_drain_is_refused():
     assert sim.now == 0.0
 
 
-def test_negative_delay_raises_on_both_backends():
-    for mode in ("heap", "calendar"):
-        with pytest.raises(core.SimulationError):
-            Simulator(queue=mode).try_advance(-1.0)
+def test_negative_delay_raises():
+    with pytest.raises(core.SimulationError):
+        Simulator().try_advance(-1.0)
 
 
 def test_only_the_last_callback_of_an_event_may_run_ahead():
@@ -176,21 +167,34 @@ def test_stop_condition_blocks_run_ahead():
 
 
 @pytest.mark.parametrize("n_procs", [1, 2])
-@pytest.mark.parametrize("queue", ["heap", "calendar"])
-def test_stop_right_after_a_run_ahead_keeps_the_advanced_clock(queue, n_procs):
+@pytest.mark.parametrize("mode", ["drain", "heap"])
+def test_stop_right_after_a_run_ahead_keeps_the_advanced_clock(mode, n_procs):
     """The condition turns true in the callback that ran ahead (from a
     lone wake-up, or the last of two same-time ones): the drain stops
-    at the advanced clock, and a later run resumes from there."""
-    sim = Simulator(queue=queue)
+    at the advanced clock, and a later run resumes from there.
+
+    Both places run-ahead reads the queue head from are covered.  In
+    "drain" every wait before the run-ahead is scheduled up front, so
+    the queue is still the sorted list (head at the end); in "heap" the
+    waits are scheduled from inside the run, which turns the queue into
+    a binary heap (head at the front)."""
+    sim = Simulator()
     done = []
     clock = []
+    modes = []
+    early = {}
+    if mode == "drain":
+        early = {(i, "wake"): sim.timeout(1.0) for i in range(n_procs)}
+        early.update(((i, "rest"), sim.timeout(3.0))
+                     for i in range(n_procs - 1))
 
     def proc(i):
-        yield sim.timeout(1.0)
+        yield early.get((i, "wake")) or sim.timeout(1.0)
         if i == n_procs - 1:
+            modes.append(sim._mode)
             yield from charge(sim, 0.5)
             done.append(True)
-        yield sim.timeout(2.0)
+        yield early.get((i, "rest")) or sim.timeout(2.0)
         clock.append((i, sim.now))
 
     for i in range(n_procs):
@@ -199,9 +203,10 @@ def test_stop_right_after_a_run_ahead_keeps_the_advanced_clock(queue, n_procs):
     assert sim.now == 1.5
     assert not sim.run_until(lambda: False, horizon=2.0)  # nothing due yet
     assert sim.now == 1.5
+    assert modes == [core._MODE_HEAP if mode == "heap" else core._MODE_DRAIN]
     sim.run()
     assert clock == ([(0, 3.0), (1, 3.5)] if n_procs == 2 else [(0, 3.5)])
-    assert sim.run_aheads == (1 if queue == "calendar" else 0)
+    assert sim.run_aheads == 1
 
 
 def _ticking_world(sim, seed):
@@ -222,14 +227,13 @@ def _ticking_world(sim, seed):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_monitor_fires_at_identical_event_counts(seed, monkeypatch):
-    """Stepping, the heap drain, and the calendar drain with run-ahead
-    off and on all call the monitor after the same events."""
-    def observe(queue, how):
+    """Stepping, and the drain with run-ahead off and on, all call the
+    monitor after the same events."""
+    def observe(how):
         with monkeypatch.context() as m:
             if how == "off":
-                m.setattr(core.CalendarSimulator, "try_advance",
-                          core.Simulator.try_advance)
-            sim = Simulator(queue=queue)
+                m.setattr(core.Simulator, "try_advance", _never)
+            sim = Simulator()
             calls = []
             sim.monitor = lambda s: calls.append((s.events_processed, s.now))
             sim.monitor_interval = 7
@@ -241,11 +245,10 @@ def test_monitor_fires_at_identical_event_counts(seed, monkeypatch):
                 sim.run()
             return (calls, sim.events_processed, sim.now), sim.run_aheads
 
-    stepped, _ = observe("calendar", "step")
+    stepped, _ = observe("step")
     assert stepped[0] and all(n % 7 == 0 for n, _ in stepped[0])
-    assert observe("heap", "run") == (stepped, 0)
-    assert observe("calendar", "off") == (stepped, 0)
-    on, aheads = observe("calendar", "on")
+    assert observe("off") == (stepped, 0)
+    on, aheads = observe("on")
     assert on == stepped and aheads > 0
 
 
@@ -278,8 +281,7 @@ def _checked_fingerprint(app, seed, n_workers, scenario):
 def test_checked_runs_are_byte_identical(app, seed, n_workers, monkeypatch):
     scenario = "partition" if seed % 3 == 0 else "mixed"
     with monkeypatch.context() as m:
-        m.setattr(core.CalendarSimulator, "try_advance",
-                  core.Simulator.try_advance)
+        m.setattr(core.Simulator, "try_advance", _never)
         off, off_aheads = _checked_fingerprint(app, seed, n_workers, scenario)
     on, _ = _checked_fingerprint(app, seed, n_workers, scenario)
     assert off_aheads == 0
@@ -306,13 +308,13 @@ def test_fib_task_charges_run_ahead_whenever_exact(monkeypatch):
     silently disables the fast path fails here instead of only getting
     slower."""
     eligible = []
-    real = core.CalendarSimulator.try_advance
+    real = core.Simulator.try_advance
 
     def counting(sim, delay):
         eligible.append(sim.peek() > sim.now + delay)
         return real(sim, delay)
 
-    monkeypatch.setattr(core.CalendarSimulator, "try_advance", counting)
+    monkeypatch.setattr(core.Simulator, "try_advance", counting)
     res = run_job(fib_job(16), n_workers=4, seed=0)
     tasks = res.stats.tasks_executed
     assert len(eligible) == tasks

@@ -1,5 +1,6 @@
-"""write_bench must preserve recorded history (the `pre_overhaul` and
-`pre_calendar` baseline blocks) instead of clobbering it on re-record."""
+"""write_bench must preserve recorded history (the `pre_overhaul`,
+`pre_calendar` and `pre_single_queue` baseline blocks) instead of
+clobbering it on re-record."""
 
 import json
 
@@ -46,12 +47,13 @@ def test_write_bench_carries_both_history_blocks_through_rerecords(tmp_path):
 
     # Re-record #1: plain results, no history keys.
     write_bench(_fake_results(rate=2_000_000.0), path)
-    # Re-record #2: partial results (a --profile timeouts run) that also
-    # tries to smuggle in a bogus pre_calendar block.
+    # Re-record #2: partial results (a section missing, as from a
+    # hand-edited file) that also try to smuggle in a bogus pre_calendar
+    # block.
     partial = {
         "schema": 1,
         "recorded_at": "2026-02-02T00:00:00",
-        "timeouts": {"events_per_s": 1_500_000.0, "repeats": 10},
+        "fib": {"tasks_per_s": 150_000.0, "repeats": 3},
         "pre_calendar": {"kernel": {"events_per_s": -1, "note": "bogus"}},
     }
     write_bench(partial, path)
@@ -60,7 +62,7 @@ def test_write_bench_carries_both_history_blocks_through_rerecords(tmp_path):
     assert reread["pre_overhaul"] == PRE_OVERHAUL
     assert reread["pre_calendar"] == PRE_CALENDAR  # recorded history wins
     assert reread["kernel"]["events_per_s"] == 2_000_000.0  # survived partial
-    assert reread["timeouts"]["events_per_s"] == 1_500_000.0
+    assert reread["fib"]["tasks_per_s"] == 150_000.0
     assert reread["recorded_at"] == "2026-02-02T00:00:00"
 
 
@@ -94,7 +96,6 @@ def test_repo_baseline_still_has_pre_overhaul():
     assert "pre_overhaul" in recorded, (
         "BENCH_kernel.json lost its pre_overhaul history block"
     )
-    assert "pre_calendar" in recorded, (
-        "BENCH_kernel.json lost its pre_calendar history block"
-    )
+    for key in ("pre_calendar", "pre_single_queue"):
+        assert key in recorded, f"BENCH_kernel.json lost its {key} history block"
     assert format_bench(recorded)  # renders without raising
