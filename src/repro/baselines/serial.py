@@ -91,11 +91,13 @@ class _SerialOps:
     def run(self) -> None:
         root_args = [Continuation(CLEARINGHOUSE_TARGET, 0), *self.job.root_args]
         self.enqueue_ready(Closure(self.new_cid(), self.job.root.name, root_args))
+        frame = Frame(self, self.profile)
         while self.stack:
             closure = self.stack.pop()
             self.executing = 1
             self._peak()
-            frame = Frame(self, self.profile, closure)
+            frame.closure = closure
+            frame.cycles = frame.base_cycles
             ref = self.job.program.resolve(closure.thread_name)
             ref.fn(frame, *closure.call_args())
             self.tasks += 1

@@ -10,7 +10,9 @@ large a reproduction run can get — and records the numbers in
 * ``fib`` / ``knary``: end-to-end macro-benchmarks — a full simulated
   cluster (workers, Clearinghouse, network) executing the paper's
   synthetic applications, with the number of task charges the kernel
-  ran ahead (:meth:`repro.sim.core.Simulator.try_advance`).
+  ran ahead (:meth:`repro.sim.core.Simulator.try_advance`) and the
+  Python calls per executed task (:func:`calls_per_task`, a count that
+  does not depend on host load).
 
 All wall-clock numbers are best-of-``repeats``: the minimum over several
 runs is the standard low-noise estimator for CPU-bound microbenchmarks
@@ -22,6 +24,7 @@ from __future__ import annotations
 import gc
 import json
 import platform
+import sys
 import time
 from typing import Any, Callable, Dict, Optional, Tuple
 
@@ -168,8 +171,43 @@ def bench_knary(n: int = 5, k: int = 5, r: int = 2, workers: int = 4,
     }
 
 
+def calls_per_task(job_factory: Callable[[], Any], workers: int = 4,
+                   seed: int = 0) -> float:
+    """Python calls per executed task of one ``run_job`` (cluster set-up
+    included): the host cost of the per-task hot path as an op count.
+
+    Calls are :func:`sys.setprofile` ``call`` events (generator
+    resumptions included), so the figure does not depend on host load.
+    A first, uncounted run imports whatever ``run_job`` imports lazily,
+    so it does not depend on what the process ran before either.
+    """
+    from repro.phish import run_job
+
+    def run():
+        return run_job(job_factory(), n_workers=workers, seed=seed)
+
+    calls = 0
+
+    def hook(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    run()
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        result = run()
+    finally:
+        sys.setprofile(previous)
+    return calls / result.stats.tasks_executed
+
+
 def run_bench(repeats: int = 10, quick: bool = False) -> Dict[str, Any]:
     """Run every benchmark and return the results dict (not yet written)."""
+    from repro.apps.fib import fib_job
+    from repro.apps.knary import knary_job
+
     macro_repeats = 1 if quick else 3
     kernel_repeats = max(3, repeats // 3) if quick else repeats
     results: Dict[str, Any] = {
@@ -182,6 +220,9 @@ def run_bench(repeats: int = 10, quick: bool = False) -> Dict[str, Any]:
     results["process_switch"] = bench_process_switch(repeats=max(2, kernel_repeats // 2))
     results["fib"] = bench_fib(repeats=macro_repeats)
     results["knary"] = bench_knary(repeats=macro_repeats)
+    # Untimed, so the profile hook never touches the wall figures.
+    results["fib"]["calls_per_task"] = calls_per_task(lambda: fib_job(16))
+    results["knary"]["calls_per_task"] = calls_per_task(lambda: knary_job(5, 5, 2))
     return results
 
 
@@ -209,6 +250,8 @@ def format_bench(results: Dict[str, Any]) -> str:
                      f"{macro.get('workers', '?')} workers")
             if "run_aheads" in macro:
                 notes += f", {macro['run_aheads']} run-ahead charges"
+            if "calls_per_task" in macro:
+                notes += f", {macro['calls_per_task']:.1f} calls/task"
             rows.append((f"{name} tasks/s", f"{macro.get('tasks_per_s', 0):,.0f}",
                          notes))
     if not rows:

@@ -37,6 +37,9 @@ class Workstation:
         self.sim = sim
         self.name = name
         self.profile = profile
+        #: ``profile.cycles_per_second``, read once: the profile is
+        #: frozen, and charging divides by it for every task.
+        self._cycles_per_second = profile.cycles_per_second
         self.network = network
         #: Accumulated CPU-busy seconds ("rusage"): compute + messaging.
         self.cpu_busy_s = 0.0
@@ -52,7 +55,7 @@ class Workstation:
 
     def seconds_for(self, cycles: float) -> float:
         """Wall-clock seconds this machine needs for *cycles* of work."""
-        return self.profile.seconds(cycles)
+        return cycles / self._cycles_per_second
 
     def charge(self, seconds: float) -> None:
         """Add busy time without blocking (used for messaging overhead)."""
@@ -74,7 +77,7 @@ class Workstation:
         many seconds the caller must wait for them (see :meth:`execute`)."""
         if self.crashed:
             raise ReproError(f"execute() on crashed workstation {self.name!r}")
-        seconds = self.profile.seconds(cycles)
+        seconds = cycles / self._cycles_per_second
         self.cpu_busy_s += seconds
         return seconds
 

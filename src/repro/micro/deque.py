@@ -35,7 +35,7 @@ class ReadyDeque:
     """
 
     __slots__ = ("exec_order", "steal_order", "_exec_head", "_steal_tail",
-                 "_items", "observer")
+                 "items", "observer")
 
     def __init__(self, exec_order: str = "lifo", steal_order: str = "fifo") -> None:
         if exec_order not in _ORDERS:
@@ -48,24 +48,24 @@ class ReadyDeque:
         # per-pop dispatch is a predicted branch, not a string compare.
         self._exec_head = exec_order == "lifo"
         self._steal_tail = steal_order == "fifo"
-        self._items: Deque[Closure] = deque()
+        #: The underlying deque, head first.  Read it freely (``len`` on
+        #: hot paths); change it only through the methods below, so the
+        #: observer sees every insertion and removal.
+        self.items: Deque[Closure] = deque()
         self.observer: Optional[DequeObserver] = None
 
     def __len__(self) -> int:
-        return len(self._items)
-
-    def __bool__(self) -> bool:
-        return bool(self._items)
+        return len(self.items)
 
     def push(self, closure: Closure) -> None:
         """Insert a newly-ready task at the head (paper, Figure 1b)."""
-        self._items.appendleft(closure)
+        self.items.appendleft(closure)
         if self.observer is not None:
             self.observer("push", closure)
 
     def pop_exec(self) -> Optional[Closure]:
         """Take the next task to execute locally, or None if empty."""
-        items = self._items
+        items = self.items
         if not items:
             return None
         if self._exec_head:
@@ -78,7 +78,7 @@ class ReadyDeque:
 
     def pop_steal(self) -> Optional[Closure]:
         """Take the task to hand a thief, or None if empty."""
-        items = self._items
+        items = self.items
         if not items:
             return None
         if self._steal_tail:
@@ -91,8 +91,8 @@ class ReadyDeque:
 
     def drain(self) -> List[Closure]:
         """Remove and return everything (head first) — used by migration."""
-        items = list(self._items)
-        self._items.clear()
+        items = list(self.items)
+        self.items.clear()
         if self.observer is not None:
             for closure in items:
                 self.observer("drain", closure)
@@ -105,11 +105,11 @@ class ReadyDeque:
         end of someone's list), so they belong behind local work.
         """
         closures = list(closures)
-        self._items.extend(closures)
+        self.items.extend(closures)
         if self.observer is not None:
             for closure in closures:
                 self.observer("extend", closure)
 
     def peek_all(self) -> List[Closure]:
         """Snapshot (head first) for tests and debugging."""
-        return list(self._items)
+        return list(self.items)

@@ -158,6 +158,12 @@ class Worker:
 
         self.stats = WorkerStats(self.name)
         self.deque = ReadyDeque(self.config.exec_order, self.config.steal_order)
+        #: Hot-path shortcuts: the ready list's underlying deque (for a
+        #: C-level ``len``), the job's thread table, and the one Frame
+        #: every task on this worker runs in.
+        self._ready = self.deque.items
+        self._threads = job.program.threads
+        self._frame = Frame(self, workstation.profile)
         #: Suspended (waiting) closures created here, keyed by cid —
         #: including closures migrated in from departing peers.
         self.suspended: Dict[ClosureId, Closure] = {}
@@ -384,14 +390,18 @@ class Worker:
             self._post(self.ch_host, self.config.port, (P.MIGRATE, [closure], [], self.name))
             return
         self.deque.push(closure)
-        self._note_in_use()
+        n = len(self._ready) + len(self.suspended) + (1 if self.executing else 0)
+        if n > self.stats.max_tasks_in_use:
+            self.stats.max_tasks_in_use = n
         if self._m_deque_series is not None:
             self._sample_deque()
 
     def register_suspended(self, closure: Closure) -> None:
         """Park a successor closure until its missing arguments arrive."""
         self.suspended[closure.cid] = closure
-        self._note_in_use()
+        n = len(self._ready) + len(self.suspended) + (1 if self.executing else 0)
+        if n > self.stats.max_tasks_in_use:
+            self.stats.max_tasks_in_use = n
         if self._m_fill_latency is not None:
             self._suspended_at[closure.cid] = self.sim.now
         if self.trace is not None:
@@ -605,6 +615,8 @@ class Worker:
         cfg = self.config
         sim = self.sim
         prof = self._prof
+        push_mode = cfg.mode == "push"
+        proactive = cfg.mode == "steal" and cfg.proactive_threshold > 0
         while not self.done:
                 if self.paused:
                     # Checkpoint in progress: hold still between tasks.
@@ -629,17 +641,15 @@ class Worker:
                             # pair must close before _finish ends the
                             # participation span.
                             prof.exec_done(sim.now, self.name, closure.cid)
-                    if cfg.mode == "push":
+                    if push_mode:
                         self._maybe_push()
-                    elif (cfg.proactive_threshold > 0
-                          and cfg.mode == "steal"
-                          and not self.done
-                          and len(self.deque) <= cfg.proactive_threshold):
+                    elif (proactive and not self.done
+                          and len(self._ready) <= cfg.proactive_threshold):
                         self._proactive_steal()
                     continue
                 if self.done:
                     break
-                if cfg.mode == "push":
+                if push_mode:
                     # Sender-initiated balancing: idle workers wait for
                     # work to be pushed to them (no stealing).
                     self.stats.failed_steal_attempts += 1
@@ -654,7 +664,8 @@ class Worker:
                     cfg.retire_after_failed_steals is not None
                     and self._failed_steals >= cfg.retire_after_failed_steals
                     and len(self.peers) > 1
-                    and not self.suspended_or_deque_nonempty()
+                    # Nothing it would have to migrate first.
+                    and not (self._ready or self.suspended)
                 ):
                     yield from self._depart(reason="retired", migrate_ready=False)
                     return True
@@ -674,11 +685,6 @@ class Worker:
         # migrate tasks and die.
         reason = {"owner-reclaimed": "reclaimed"}.get(cause, cause)
         yield from self._depart(reason=reason, migrate_ready=True)
-
-    def suspended_or_deque_nonempty(self) -> bool:
-        """True if this worker still holds closures it cannot abandon
-        without migrating them (blocks no-migration retirement paths)."""
-        return bool(self.deque) or bool(self.suspended)
 
     def _finish(self, reason: str) -> None:
         if self.stats.end_time == 0.0:
@@ -764,16 +770,23 @@ class Worker:
     def _execute(self, closure: Closure) -> float:
         """Run *closure*'s thread function and account its cycles on the
         workstation; returns the seconds the caller must wait for them."""
+        # No working-set note: the pop that handed us the closure and
+        # ``executing`` cancel out, and every site that grows the set
+        # records its peak.
         self.executing = True
-        self._note_in_use()
         if self.trace is not None:
             # Emitted before the thread function runs: its spawns/sends
             # take effect synchronously, so by the time a crash interrupt
             # can land (the cycle-charging yield) the task has executed.
             self.trace.emit(self.sim.now, "closure.exec", self.name,
                             cid=closure.cid, thread=closure.thread_name)
-        frame = Frame(self, self.workstation.profile, closure)
-        ref = self.job.program.resolve(closure.thread_name)
+        try:
+            ref = self._threads[closure.thread_name]
+        except KeyError:
+            ref = self.job.program.resolve(closure.thread_name)  # raises
+        frame = self._frame
+        frame.closure = closure
+        frame.cycles = frame.base_cycles
         prof = self._prof
         if prof is not None:
             # The thread function runs synchronously here, so every DAG
@@ -792,7 +805,7 @@ class Worker:
                 self._sample_deque()
             if self._health is not None:
                 self._health.task_done(self.sim.now, self.name, service_s)
-        if self.config.track_completed and closure.join_counter == 0:
+        if self.config.track_completed:  # it ran, so it was ready
             self.completed.add(closure.cid)
         self.executing = False
         # The task's simulated cycles: dispatch + work + spawns + sends.
@@ -990,7 +1003,6 @@ class Worker:
                 if self.trace is not None:
                     self.trace.emit(self.sim.now, "steal.grant", self.name,
                                     thief=thief, cid=closure.cid, req=req_id)
-            self._note_in_use()
             if self._prof is not None:
                 self._prof.steal_grant(self.sim.now, self.name, thief,
                                        len(batch), req_id)
@@ -1328,6 +1340,7 @@ class Worker:
             self.suspended[closure.cid] = closure
             for continuation, value in self._forwarded.pop(closure.cid, []):
                 self._fill_local(continuation, value)
+        self._note_in_use()
 
     def _redo_handoff(self, ready: List[Closure], suspended: List[Closure]) -> Generator:
         """Post-departure redo: find a live adopter for regenerated work.
@@ -1552,6 +1565,7 @@ class Worker:
                 # loop returns us to stealing); replay the parked sends
                 # against the suspended table we kept.
                 self.deque.extend_tail(ready)
+                self._note_in_use()
                 self.departed = False
                 self.retired = False
                 for continuation, value in held:

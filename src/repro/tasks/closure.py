@@ -9,7 +9,7 @@ number, slot) — so results can be sent across workers.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Sequence, Tuple
 
 from repro.errors import ClosureError
 
@@ -59,6 +59,9 @@ class Closure:
             function's *name*, not the function).
         args: the argument list; missing slots hold an internal sentinel.
         depth: spawn-tree depth, for instrumentation.
+
+    A closure is born with its last *missing* slots empty (a successor
+    waiting for its results); with ``missing=0`` it is born ready.
     """
 
     __slots__ = ("cid", "thread_name", "args", "_missing", "depth")
@@ -67,25 +70,18 @@ class Closure:
         self,
         cid: ClosureId,
         thread_name: str,
-        args: List[Any],
-        missing_slots: Optional[List[int]] = None,
+        args: Sequence[Any],
+        missing: int = 0,
         depth: int = 0,
     ) -> None:
         self.cid = cid
         self.thread_name = thread_name
         self.args = list(args)
+        if missing:
+            # _EMPTY is module-private: this is the only way to make holes.
+            self.args += [_EMPTY] * missing
+        self._missing = missing
         self.depth = depth
-        if missing_slots:
-            for slot in missing_slots:
-                if not (0 <= slot < len(self.args)):
-                    raise ClosureError(f"missing slot {slot} out of range for {thread_name}")
-                self.args[slot] = _EMPTY
-            self._missing = sum(1 for a in self.args if a is _EMPTY)
-        else:
-            # Fast path: with no missing_slots the closure is born ready.
-            # (Holes can only be punched via missing_slots — _EMPTY is
-            # module-private, so callers cannot place it in args.)
-            self._missing = 0
 
     @property
     def join_counter(self) -> int:
@@ -110,17 +106,19 @@ class Closure:
         scheduler's send path deduplicates crash-redo duplicates *before*
         calling fill, so a double fill here is a programming bug.
         """
-        if self.slot_filled(slot):
+        args = self.args
+        if not (0 <= slot < len(args) and args[slot] is _EMPTY):
+            self.slot_filled(slot)  # raises if out of range
             raise ClosureError(
                 f"slot {slot} of {self.thread_name}#{self.cid} filled twice"
             )
-        self.args[slot] = value
+        args[slot] = value
         self._missing -= 1
         return self._missing == 0
 
     def call_args(self) -> List[Any]:
         """The argument list, for invocation; requires readiness."""
-        if not self.is_ready:
+        if self._missing:
             raise ClosureError(
                 f"closure {self.thread_name}#{self.cid} invoked with "
                 f"{self._missing} missing argument(s)"

@@ -172,36 +172,36 @@ class SuccessorRef:
         return Continuation(self.closure.cid, slot)
 
 
+#: Resolution through the registry is the worker's job; Frame only sees
+#: refs in practice.
+_BY_NAME = "spawning by name requires the worker context; pass the ThreadRef"
+
+
 class Frame:
     """Execution context of one running closure.
 
     Accumulates the simulated CPU cycles the task costs (dispatch +
     application work + per-primitive scheduling overheads, per the
     platform profile) and forwards scheduling actions to the worker.
+
+    A scheduler keeps one Frame and rebinds it to each task it runs:
+    ``closure`` is the running task and ``cycles`` restarts from
+    ``base_cycles``.  Thread functions must not keep the frame past
+    their return.
     """
 
-    __slots__ = (
-        "_ops",
-        "profile",
-        "closure",
-        "cycles",
-        "spawns",
-        "sends",
-        "successors",
-    )
+    __slots__ = ("_ops", "profile", "closure", "cycles", "base_cycles")
 
-    def __init__(self, ops: SchedulerOps, profile, closure: Closure) -> None:
+    def __init__(self, ops: SchedulerOps, profile, closure: Optional[Closure] = None) -> None:
         self._ops = ops
         self.profile = profile
         self.closure = closure
         # Every task pays dispatch, one network poll, and (under Phish)
         # the dynamic-processor-set bookkeeping.
-        self.cycles = (
+        self.base_cycles = (
             profile.schedule_cycles + profile.poll_cycles + profile.dynamic_set_cycles
         )
-        self.spawns = 0
-        self.sends = 0
-        self.successors = 0
+        self.cycles = self.base_cycles
 
     # -- the programming model ------------------------------------------------
 
@@ -211,25 +211,25 @@ class Frame:
             raise SchedulerError("negative work")
         self.cycles += cycles
 
-    def spawn(self, thread: "ThreadRef | str", *args: Any) -> None:
+    def spawn(self, thread: ThreadRef, *args: Any) -> None:
         """Spawn a fully-applied child closure (ready immediately).
 
         Children are pushed on the *head* of the worker's ready list, so
         they run next in LIFO order (paper, Figure 1b).
         """
-        ref = self._resolve(thread)
-        if len(args) != ref.arity:
+        if thread.__class__ is not ThreadRef:
+            raise SchedulerError(_BY_NAME)
+        if len(args) != thread.arity:
             raise SchedulerError(
-                f"spawn {ref.name}: expected {ref.arity} args, got {len(args)}"
+                f"spawn {thread.name}: expected {thread.arity} args, got {len(args)}"
             )
         child = Closure(
-            self._ops.new_cid(), ref.name, list(args), depth=self.closure.depth + 1
+            self._ops.new_cid(), thread.name, args, depth=self.closure.depth + 1
         )
-        self.spawns += 1
         self.cycles += self.profile.spawn_cycles
         self._ops.enqueue_ready(child)
 
-    def successor(self, thread: "ThreadRef | str", *given: Any) -> SuccessorRef:
+    def successor(self, thread: ThreadRef, *given: Any) -> SuccessorRef:
         """Create a successor closure waiting for its remaining arguments.
 
         The first ``len(given)`` slots are filled now; the rest are
@@ -237,25 +237,20 @@ class Frame:
         successor stays suspended on this worker until the last missing
         argument is sent.
         """
-        ref = self._resolve(thread)
-        if len(given) > ref.arity:
+        if thread.__class__ is not ThreadRef:
+            raise SchedulerError(_BY_NAME)
+        missing = thread.arity - len(given)
+        if missing < 0:
             raise SchedulerError(
-                f"successor {ref.name}: {len(given)} args exceed arity {ref.arity}"
+                f"successor {thread.name}: {len(given)} args exceed arity {thread.arity}"
             )
-        missing = list(range(len(given), ref.arity))
         if not missing:
             raise SchedulerError(
-                f"successor {ref.name} has no missing slots; use spawn()"
+                f"successor {thread.name} has no missing slots; use spawn()"
             )
-        args = list(given) + [None] * len(missing)
-        succ = Closure(
-            self._ops.new_cid(),
-            ref.name,
-            args,
-            missing_slots=missing,
-            depth=self.closure.depth,  # successor continues this task's level
-        )
-        self.successors += 1
+        # The successor continues this task's level.
+        succ = Closure(self._ops.new_cid(), thread.name, given, missing,
+                       self.closure.depth)
         self.cycles += self.profile.spawn_cycles
         self._ops.register_suspended(succ)
         return SuccessorRef(succ)
@@ -269,17 +264,5 @@ class Frame:
         """
         if not isinstance(continuation, Continuation):
             raise SchedulerError(f"send target must be a Continuation, got {continuation!r}")
-        self.sends += 1
         self.cycles += self.profile.sync_cycles
         self._ops.deliver(continuation, value)
-
-    # -- internals -------------------------------------------------------------
-
-    def _resolve(self, thread: "ThreadRef | str") -> ThreadRef:
-        if isinstance(thread, ThreadRef):
-            return thread
-        # Resolution through the registry is the worker's job; Frame only
-        # sees refs in practice, but accept names for symmetry.
-        raise SchedulerError(
-            "spawning by name requires the worker context; pass the ThreadRef"
-        )

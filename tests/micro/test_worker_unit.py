@@ -33,8 +33,7 @@ def rig(sim):
 
 
 def suspended_closure(worker, slots=2):
-    c = Closure(worker.new_cid(), "thr", [None] * (slots + 1),
-                missing_slots=list(range(1, slots + 1)))
+    c = Closure(worker.new_cid(), "thr", [None], missing=slots)
     worker.register_suspended(c)
     return c
 
@@ -139,6 +138,43 @@ class TestInUseAccounting:
         w.deque.pop_exec()
         w._note_in_use()
         assert w.stats.max_tasks_in_use == peak
+
+    def test_rejoin_adopting_suspended_closures_raises_peak(self, rig):
+        """A retired worker whose migration adopter died rejoins and takes
+        the still-waiting closures back: that grows its working set."""
+        _sim, _net, workers = rig
+        w = workers["wA"]
+        batch = [Closure(w.new_cid(), "thr", [None], missing=1) for _ in range(3)]
+        w.departed = w.retired = True
+        w.migrated["wB"] = batch
+        assert w.stats.max_tasks_in_use == 0
+        w._redo_migrated("wB")
+        assert not w.departed  # rejoined and adopted locally
+        assert len(w.suspended) == 3
+        assert w.stats.max_tasks_in_use == 3
+
+    def test_undone_retirement_raises_peak(self, rig):
+        """A departure nobody adopts is undone: the drained ready list
+        comes back on top of whatever arrived meanwhile."""
+        _sim, _net, workers = rig
+        w = workers["wA"]
+        for i in range(3):
+            w.enqueue_ready(Closure(w.new_cid(), "thr", [i]))
+        assert w.stats.max_tasks_in_use == 3
+
+        def nobody_adopts(ready, suspended):
+            # Work keeps arriving while the offer is out.
+            for i in range(2):
+                w.enqueue_ready(Closure(w.new_cid(), "thr", [i]))
+            return None
+            yield  # a generator, like the real handshake
+
+        w._migrate_with_ack = nobody_adopts
+        for _ in w._depart(reason="preempted", migrate_ready=True):
+            pass
+        assert not w.departed
+        assert len(w.deque) == 5
+        assert w.stats.max_tasks_in_use == 5
 
 
 class TestCids:

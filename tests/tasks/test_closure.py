@@ -6,8 +6,8 @@ from repro.errors import ClosureError
 from repro.tasks.closure import CLEARINGHOUSE_TARGET, Closure, Continuation
 
 
-def make(missing=None, args=(1, 2, 3)):
-    return Closure(("w0", 1), "fn", list(args), missing_slots=missing)
+def make(missing=0, args=(1, 2, 3)):
+    return Closure(("w0", 1), "fn", list(args), missing=missing)
 
 
 class TestClosure:
@@ -17,25 +17,25 @@ class TestClosure:
         assert c.join_counter == 0
 
     def test_missing_slots_counted(self):
-        c = make(missing=[1, 2])
+        c = make(missing=2, args=(1,))
         assert c.join_counter == 2
         assert not c.is_ready
 
     def test_fill_decrements_and_enables(self):
-        c = make(missing=[1, 2])
+        c = make(missing=2, args=(1,))
         assert c.fill(1, "x") is False
         assert c.fill(2, "y") is True
         assert c.is_ready
         assert c.args == [1, "x", "y"]
 
     def test_double_fill_raises(self):
-        c = make(missing=[1])
+        c = make(missing=1, args=(1,))
         c.fill(1, "x")
         with pytest.raises(ClosureError):
             c.fill(1, "again")
 
     def test_fill_present_slot_raises(self):
-        c = make(missing=[1])
+        c = make(missing=1, args=(1,))
         with pytest.raises(ClosureError):
             c.fill(0, "nope")
 
@@ -44,12 +44,8 @@ class TestClosure:
         with pytest.raises(ClosureError):
             c.slot_filled(99)
 
-    def test_missing_slot_out_of_range(self):
-        with pytest.raises(ClosureError):
-            make(missing=[5])
-
     def test_call_args_requires_ready(self):
-        c = make(missing=[0])
+        c = make(missing=1, args=())
         with pytest.raises(ClosureError):
             c.call_args()
 
@@ -65,12 +61,12 @@ class TestClosure:
         assert clone.depth == c.depth
 
     def test_redo_copy_requires_ready(self):
-        c = make(missing=[0])
+        c = make(missing=1, args=())
         with pytest.raises(ClosureError):
             c.redo_copy(("w1", 9))
 
     def test_repr_shows_holes(self):
-        c = make(missing=[1])
+        c = make(missing=1, args=(1,))
         assert "_" in repr(c)
 
 
